@@ -76,19 +76,6 @@ def test_neighborhood_sampling_50(benchmark, instance, solution):
     benchmark(sample_neighborhood, solution, 50, registry, rng, evaluator)
 
 
-def test_neighborhood_sampling_50_scalar(benchmark, instance, solution, monkeypatch):
-    """Knob-off control: same sampling, scalar per-move evaluation.
-
-    Paired with ``test_neighborhood_sampling_50`` (kernel on by
-    default) this feeds the ``vector_kernel`` speedup row that
-    ``conftest.py`` writes into BENCH_micro.json."""
-    monkeypatch.setenv("REPRO_VECTOR_EVAL", "0")
-    registry = default_registry()
-    rng = np.random.default_rng(4)
-    evaluator = Evaluator(instance)
-    benchmark(sample_neighborhood, solution, 50, registry, rng, evaluator)
-
-
 def test_nondominated_mask_200(benchmark):
     rng = np.random.default_rng(5)
     points = rng.random((200, 3))

@@ -97,19 +97,4 @@ def pytest_sessionfinish(session, exitstatus):
         if bench.extra_info:
             row.update(bench.extra_info)
         payload["benchmarks"][bench.name] = row
-    # Kernel-on vs kernel-off ledger row: both neighborhood-sampling
-    # benchmarks run the identical workload, differing only in the
-    # REPRO_VECTOR_EVAL knob, so their ratio is the measured speedup of
-    # the batch evaluation kernel on this machine.
-    rows = payload["benchmarks"]
-    kernel_on = rows.get("test_neighborhood_sampling_50")
-    kernel_off = rows.get("test_neighborhood_sampling_50_scalar")
-    if kernel_on and kernel_off:
-        payload["vector_kernel"] = {
-            "kernel_on_median": kernel_on["median"],
-            "kernel_off_median": kernel_off["median"],
-            "speedup_off_over_on": round(
-                kernel_off["median"] / kernel_on["median"], 3
-            ),
-        }
     MICRO_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

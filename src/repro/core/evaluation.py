@@ -127,7 +127,7 @@ class Evaluator:
         "_memo_parent",
         "_memo_pd",
         "_memo_pt",
-        "_kernel",
+        "_sampler",
     )
 
     def __init__(
@@ -153,8 +153,8 @@ class Evaluator:
         self._memo_parent: Solution | None = None
         self._memo_pd: list[float] = []
         self._memo_pt: list[float] = []
-        # Lazily built batch-kernel state (see repro.core.batch_eval).
-        self._kernel = None
+        # Lazily built batched-sampler state (see repro.core.batch_eval).
+        self._sampler = None
 
     @property
     def exhausted(self) -> bool:

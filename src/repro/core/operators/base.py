@@ -90,8 +90,9 @@ class Move(abc.ABC):
 class Operator(abc.ABC):
     """A random-move generator over solutions.
 
-    Operators may additionally support the batched sampling protocol of
-    :mod:`repro.core.batch_eval` by defining
+    Every operator in an :class:`~repro.core.operators.registry.
+    OperatorRegistry` must also support the batched sampling protocol
+    of :mod:`repro.core.batch_eval` by defining
 
     * ``batch_words`` — the number of uniform doubles one candidate
       consumes,
@@ -105,7 +106,11 @@ class Operator(abc.ABC):
 
     ``pre`` is the :class:`~repro.core.batch_eval.ParentArrays` summary
     of the parent solution.  The descriptor layout is operator-specific
-    and decoded by the kernel's move/edit builders.
+    and decoded by the sampler's move builder for the operator's type.
+    The scalar :meth:`propose` reads ``batch_words`` uniforms per
+    attempt in the same order, so the first valid row of
+    ``propose_batch`` over those uniforms is the move ``propose``
+    returns (the tests pin each emitter to ``propose`` that way).
     """
 
     #: unique operator identifier (also used in tabu attributes).

@@ -50,6 +50,16 @@ class OperatorRegistry:
         )
         if not self.operators:
             raise OperatorError("registry needs at least one operator")
+        # Deferred import: batch_eval imports the operator modules.
+        from repro.core.batch_eval import has_emitter
+
+        for op in self.operators:
+            if not has_emitter(op):
+                raise OperatorError(
+                    f"operator {op!r} has no batch emitter: the neighborhood "
+                    "sampler needs batch_words, batch_ready, propose_batch and "
+                    "a move builder for every operator"
+                )
         if weights is None:
             w = np.full(len(self.operators), 1.0 / len(self.operators))
         else:

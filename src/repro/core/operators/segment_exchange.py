@@ -64,6 +64,10 @@ class SegmentExchange(Operator):
 
     name = "segx"
 
+    #: uniforms consumed per batched candidate (donor route, segment
+    #: start, single customer).
+    batch_words = 3
+
     #: per-solution memo of donor route indices (the sampler proposes
     #: dozens of moves against the same current solution).
     _memo_solution: Solution | None = None
@@ -89,21 +93,21 @@ class SegmentExchange(Operator):
         travel = instance._travel_rows
         locate = solution.location_table().__getitem__
         loads = solution.route_loads()
-        integers = rng.integers
         n_donors = len(donors)
-        customer_hi = instance.n_customers + 1
-        for _ in range(self.max_attempts):
-            route_a = donors[integers(n_donors)]
+        n_customers = instance.n_customers
+        u = rng.random(self.batch_words * self.max_attempts).tolist()
+        for k in range(0, len(u), 3):
+            route_a = donors[int(u[k] * n_donors)]
             ra = routes[route_a]
-            pos_a = integers(0, len(ra) - 1)
-            segment = ra[pos_a : pos_a + 2]
-            customer = integers(1, customer_hi)
+            pos_a = int(u[k + 1] * (len(ra) - 1))
+            customer = 1 + int(u[k + 2] * n_customers)
             route_b, pos_b = locate(customer)
             if route_b == route_a:
                 continue
             rb = routes[route_b]
-            seg_demand = demand[segment[0]] + demand[segment[1]]
-            delta = seg_demand - demand[customer]
+            s0 = ra[pos_a]
+            s1 = ra[pos_a + 1]
+            delta = demand[s0] + demand[s1] - demand[customer]
             if loads[route_b] + delta > capacity:
                 continue
             if loads[route_a] - delta > capacity:
@@ -115,8 +119,6 @@ class SegmentExchange(Operator):
             ja = ra[pos_a + 2] if pos_a + 2 < len(ra) else 0
             ib = rb[pos_b - 1] if pos_b > 0 else 0
             jb = rb[pos_b + 1] if pos_b + 1 < len(rb) else 0
-            s0 = segment[0]
-            s1 = segment[1]
             if (
                 depart[ia] + travel[ia][customer] <= due[customer]
                 and depart[customer] + travel[customer][ja] <= due[ja]
@@ -126,9 +128,57 @@ class SegmentExchange(Operator):
                 return SegmentExchangeMove(
                     route_a=route_a,
                     pos_a=pos_a,
-                    segment=(segment[0], segment[1]),
+                    segment=(s0, s1),
                     route_b=route_b,
                     pos_b=pos_b,
                     customer=customer,
                 )
         return None
+
+    def batch_ready(self, pre) -> bool:
+        return pre.n_routes >= 2 and len(pre.eligible2) > 0
+
+    def propose_batch(self, pre, U: np.ndarray):
+        """Vectorized :meth:`propose`; fields: route_a, pos_a, customer."""
+        donors = pre.eligible2
+        n_donors = len(donors)
+        d = (U[:, 0] * n_donors).astype(np.int64)
+        np.minimum(d, n_donors - 1, out=d)
+        route_a = donors[d]
+        na = pre.L[route_a]
+        pos_a = (U[:, 1] * (na - 1)).astype(np.int64)
+        np.minimum(pos_a, na - 2, out=pos_a)
+        n_customers = pre.n_customers
+        customer = 1 + (U[:, 2] * n_customers).astype(np.int64)
+        np.minimum(customer, n_customers, out=customer)
+        route_b = pre.route_of[customer]
+        pos_b = pre.pos_of[customer]
+        Rz = pre.Rz
+        s0 = Rz[route_a, pos_a + 1]
+        s1 = Rz[route_a, pos_a + 2]
+        demand = pre.demand
+        delta = demand[s0] + demand[s1] - demand[customer]
+        capacity = pre.capacity
+        load_ok = (pre.loads[route_b] + delta <= capacity) & (
+            pre.loads[route_a] - delta <= capacity
+        )
+        ia = Rz[route_a, pos_a]
+        ja = Rz[route_a, pos_a + 3]
+        ib = Rz[route_b, pos_b]
+        jb = Rz[route_b, pos_b + 2]
+        depart = pre.depart
+        due = pre.due
+        travel = pre.travel_flat
+        ns = pre.n_sites
+        edges_ok = (
+            (depart[ia] + travel[ia * ns + customer] <= due[customer])
+            & (depart[customer] + travel[customer * ns + ja] <= due[ja])
+            & (depart[ib] + travel[ib * ns + s0] <= due[s0])
+            & (depart[s1] + travel[s1 * ns + jb] <= due[jb])
+        )
+        valid = (route_a != route_b) & load_ok & edges_ok
+        fields = np.zeros((len(customer), 4), dtype=np.int64)
+        fields[:, 0] = route_a
+        fields[:, 1] = pos_a
+        fields[:, 2] = customer
+        return fields, valid

@@ -49,10 +49,6 @@ __all__ = ["CacheStats", "RouteStatsCache", "default_capacity"]
 
 _DEFAULT_CAPACITY = 65536
 
-#: placeholder stored by :meth:`RouteStatsCache.lookup_deferred` for a
-#: counted miss whose stats the caller computes later (batch kernel).
-_PENDING = object()
-
 
 def default_capacity() -> int:
     """The configured default capacity (``REPRO_STATS_CACHE_CAPACITY``)."""
@@ -140,46 +136,6 @@ class RouteStatsCache:
                 data.popitem(last=False)
                 self.evictions += 1
         return stats
-
-    def lookup_deferred(self, route: tuple[int, ...]) -> RouteStats | None:
-        """Like :meth:`lookup`, but the caller computes misses itself.
-
-        Used by the batch kernel: counters and LRU motion are identical
-        to :meth:`lookup` (a miss inserts a placeholder at the LRU tail,
-        so eviction pressure matches too), but instead of scanning the
-        route here, ``None`` is returned and the caller later provides
-        the stats via :meth:`fulfill` — letting it deduplicate and
-        vectorize the miss scans.  A pending route looked up again
-        before fulfillment counts as a hit (same as the scalar path,
-        where the first lookup would already have stored real stats);
-        the caller resolves those from its own pending table.
-        """
-        self.lookups += 1
-        data = self._data
-        stats = data.get(route)
-        if stats is not None:
-            self.hits += 1
-            data.move_to_end(route)
-            return None if stats is _PENDING else stats
-        self.misses += 1
-        if self.capacity > 0:
-            data[route] = _PENDING
-            if len(data) > self.capacity:
-                data.popitem(last=False)
-                self.evictions += 1
-        return None
-
-    def fulfill(self, route: tuple[int, ...], stats: RouteStats) -> None:
-        """Replace a :meth:`lookup_deferred` placeholder with real stats.
-
-        Assignment to an existing key keeps its LRU position; a
-        placeholder that was already evicted is *not* reinserted (its
-        miss was counted, matching the scalar path's behavior of not
-        retaining what the LRU pushed out).
-        """
-        data = self._data
-        if data.get(route) is _PENDING:
-            data[route] = stats
 
     def seed(self, route: tuple[int, ...], stats: RouteStats) -> None:
         """Insert already-computed stats (e.g. a parent's) without a scan."""

@@ -147,9 +147,8 @@ class PoolBatch:
     packed :class:`~repro.parallel.wire.WireBatch` of parent-relative
     edits; the pool decodes before anything downstream sees it.
     ``phase`` (final batches only, when the worker timed itself) is the
-    task's accumulated ``(generate, evaluate)`` seconds — the feedback
-    signal of the adaptive task sizer and the worker-side contribution
-    to the obs phase profile.
+    task's accumulated ``(generate, evaluate)`` seconds — the
+    worker-side contribution to the obs phase profile.
     """
 
     worker: int

@@ -59,7 +59,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.batch_eval import batch_supported, sample_batch, vector_eval_enabled
+from repro.core.batch_eval import sample_batch
 from repro.core.evaluation import Evaluator
 from repro.core.operators.registry import OperatorRegistry, default_registry
 from repro.core.solution import Solution
@@ -68,11 +68,9 @@ from repro.obs import ENV_OBS, ENV_TRACE_DIR, NULL_OBS, EventTracer, utc_timesta
 from repro.parallel.messages import PoolBatch, PoolHeartbeat, PoolTask, StopMessage
 from repro.parallel.shm import SharedInstance, SharedInstanceRef, share_instance
 from repro.parallel.wire import WireBatch, WireRoutes, WireTaskDelta, diff_routes
-from repro.rng import FastRng
 from repro.vrptw.instance import Instance
 
 __all__ = [
-    "AdaptiveSizer",
     "BatchEvent",
     "FaultPlan",
     "PoolParams",
@@ -205,13 +203,6 @@ class PoolParams:
     #: (:mod:`repro.parallel.shm`) instead of pickling it into every
     #: worker spawn.
     shared_instance: bool = True
-    #: retune task count / batch size between iterations from observed
-    #: worker phase timings (:class:`AdaptiveSizer`).  Off by default:
-    #: it changes task boundaries, so seeded multi-task runs are no
-    #: longer reproducible across machines.
-    adaptive_sizing: bool = False
-    #: floor for adaptively chosen task counts.
-    min_task_count: int = 4
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:
@@ -230,8 +221,6 @@ class PoolParams:
             raise WorkerPoolError("poll_interval must be positive")
         if self.boot_grace < 0:
             raise WorkerPoolError("boot_grace must be non-negative")
-        if self.min_task_count < 1:
-            raise WorkerPoolError("min_task_count must be >= 1")
 
 
 # ----------------------------------------------------------------------
@@ -277,9 +266,11 @@ def execute_task(
     hits0, misses0 = cache.hits, cache.misses
     solution = Solution(instance, task.routes)
     rng = _task_rng(task)
+    # One sampler call samples and scores the whole task; the entries
+    # then stream out in ``batch_size`` chunks through the flush
+    # protocol, each shipping its edits or routes to the master.
+    result = sample_batch(solution, task.count, registry, rng, evaluator, timed=timed)
     out = []
-    gen_s = eval_s = 0.0
-    clock = time.perf_counter
 
     def flush(final: bool) -> PoolBatch:
         neighbors = WireBatch.encode(out) if codec else tuple(out)
@@ -297,69 +288,20 @@ def execute_task(
             cache_delta=(
                 (cache.hits - hits0, cache.misses - misses0) if final else None
             ),
-            phase=(gen_s, eval_s) if final and timed else None,
+            phase=(result.gen_seconds, result.eval_seconds) if final and timed else None,
         )
 
-    if batch_supported(registry):
-        # Batched path: one kernel call samples and scores the whole
-        # task; the entries then stream out in ``batch_size`` chunks
-        # through the same flush protocol.  Moves are materialized
-        # eagerly — every entry ships its edits/routes to the master.
-        result = sample_batch(
-            solution,
-            task.count,
-            registry,
-            rng,
-            evaluator,
-            vector=vector_eval_enabled(),
-            eager_moves=True,
-            timed=timed,
-        )
-        gen_s = result.gen_seconds
-        eval_s = result.eval_seconds
-        for obj, move, _ in result.entries:
-            objective = (obj.distance, obj.vehicles, obj.tardiness)
-            if codec:
-                replacements, added = move.route_edits(solution)
-                out.append((replacements, added, objective, move.attribute))
-            else:
-                child = move.apply(solution)  # routes must ship to the master
-                out.append((child.routes, objective, move.attribute))
-            if len(out) >= task.batch_size:
-                yield flush(final=False)
-                out = []
-        yield flush(final=True)
-        return
-
-    fast = FastRng(rng)
-    try:
-        for _ in range(task.count):
-            if timed:
-                t0 = clock()
-                move = registry.draw_move(solution, fast)
-                gen_s += clock() - t0
-            else:
-                move = registry.draw_move(solution, fast)
-            if move is None:
-                break
-            if timed:
-                t0 = clock()
-                obj = evaluator.evaluate_move(solution, move)
-                eval_s += clock() - t0
-            else:
-                obj = evaluator.evaluate_move(solution, move)
-            objective = (obj.distance, obj.vehicles, obj.tardiness)
-            if codec:
-                replacements, added = move.route_edits(solution)
-                out.append((replacements, added, objective, move.attribute))
-            else:
-                child = move.apply(solution)  # routes must ship to the master
-                out.append((child.routes, objective, move.attribute))
-            if len(out) >= task.batch_size:
-                yield flush(final=False)
-                out = []
-    finally:
-        fast.detach()
+    for obj, move in result.entries:
+        objective = (obj.distance, obj.vehicles, obj.tardiness)
+        if codec:
+            replacements, added = move.route_edits(solution)
+            out.append((replacements, added, objective, move.attribute))
+        else:
+            child = move.apply(solution)  # routes must ship to the master
+            out.append((child.routes, objective, move.attribute))
+        if len(out) >= task.batch_size:
+            yield flush(final=False)
+            out = []
     yield flush(final=True)
 
 
@@ -521,99 +463,6 @@ def _pool_worker_main(
         seg.close()
     if shm is not None:
         shm.close()
-
-
-# ----------------------------------------------------------------------
-# Adaptive task sizing
-# ----------------------------------------------------------------------
-class AdaptiveSizer:
-    """Feedback controller for task count / batch size.
-
-    The tension: fewer, larger tasks amortize per-task overhead
-    (dispatch, queue hop, decode) but lengthen the straggler tail the
-    synchronous master waits out — and starve the asynchronous c1–c4
-    loop of partial results.  The sizer keeps EMAs of the worker-side
-    per-neighbor work :math:`\\bar w` (from the ``(generate, evaluate)``
-    phase timings riding final batches) and the per-task overhead
-    :math:`o` (task latency minus work), and proposes the count that
-    balances the two terms: total overhead across ``total/c`` tasks is
-    ``(total/c) * o`` while the tail a task adds is ``c * w``, equal at
-    :math:`c^* = \\sqrt{total \\cdot o / \\bar w}`.
-
-    The batch size targets steady arrival: a batch should complete in
-    about half the master's observed inter-poll wait, so partial
-    results land every cycle instead of in one final burst.
-
-    All state is master-side floats fed from observed timings — nothing
-    here touches RNG streams, task seeds or neighbor order, so an
-    adaptive run stays *correct*; it is only not *reproducible* across
-    machines, which is why :attr:`PoolParams.adaptive_sizing` defaults
-    off.
-    """
-
-    __slots__ = ("alpha", "min_count", "work_ema", "overhead_ema", "wait_ema", "observed")
-
-    def __init__(self, min_count: int = 4, alpha: float = 0.25) -> None:
-        self.alpha = alpha
-        self.min_count = min_count
-        self.work_ema: float | None = None  # seconds per neighbor
-        self.overhead_ema: float | None = None  # seconds per task
-        self.wait_ema: float | None = None  # master poll wait, seconds
-        self.observed = 0
-
-    def _ema(self, old: float | None, value: float) -> float:
-        if old is None:
-            return value
-        return old + self.alpha * (value - old)
-
-    def observe_task(
-        self, count: int, latency: float, phase: tuple[float, float] | None
-    ) -> None:
-        """Fold one completed task's timings into the EMAs."""
-        if count < 1 or latency < 0:
-            return
-        work = latency if phase is None else max(phase[0] + phase[1], 0.0)
-        work = min(work, latency)
-        self.work_ema = self._ema(self.work_ema, work / count)
-        self.overhead_ema = self._ema(self.overhead_ema, max(latency - work, 0.0))
-        self.observed += 1
-
-    def observe_wait(self, seconds: float) -> None:
-        """Fold one master-side blocking wait into the EMA."""
-        if seconds >= 0:
-            self.wait_ema = self._ema(self.wait_ema, seconds)
-
-    @property
-    def ready(self) -> bool:
-        """Enough observations to trust the EMAs over the static split."""
-        return self.observed >= 3 and self.work_ema is not None
-
-    def suggest_count(self, total: int, n_slots: int) -> int:
-        """Neighbors per task for a ``total``-neighbor fan-out."""
-        base = max(1, -(-total // max(n_slots, 1)))  # ceil, the static split
-        if not self.ready or not self.work_ema or self.overhead_ema is None:
-            return base
-        c_opt = (total * self.overhead_ema / self.work_ema) ** 0.5
-        return max(self.min_count, min(int(round(c_opt)) or 1, base, total))
-
-    def suggest_batch(self, count: int, default: int | None) -> int:
-        """Neighbors per streamed batch within a ``count``-neighbor task."""
-        if default is None:
-            default = count
-        default = min(default, count)
-        if not self.ready or not self.work_ema or self.wait_ema is None:
-            return default
-        target = self.wait_ema / (2.0 * self.work_ema)
-        return max(1, min(int(target) or 1, default))
-
-    def summary(self) -> dict:
-        """The controller state for :meth:`WorkerPool.report`."""
-        return {
-            "observed_tasks": self.observed,
-            "work_per_neighbor_s": self.work_ema,
-            "task_overhead_s": self.overhead_ema,
-            "master_wait_s": self.wait_ema,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -799,14 +648,9 @@ class WorkerPool:
         self._local_shms: list = []
         self._local_registry: OperatorRegistry | None = None
 
-        self.sizer = (
-            AdaptiveSizer(min_count=self.params.min_task_count)
-            if self.params.adaptive_sizing
-            else None
-        )
-        #: workers time their generate/evaluate phases when the sizer
-        #: needs the signal or the obs profiler will ingest it.
-        self._timed = self.sizer is not None or bool(getattr(obs, "enabled", False))
+        #: workers time their generate/evaluate phases when the obs
+        #: profiler will ingest them.
+        self._timed = bool(getattr(obs, "enabled", False))
 
         # Shared-memory instance broadcast: create the segment before
         # the first spawn so every worker (including respawns) attaches
@@ -1000,10 +844,7 @@ class WorkerPool:
         if (seed is None) == (rng_state is None):
             raise WorkerPoolError("tasks need exactly one of seed= or rng_state=")
         if batch_size is None:
-            if self.sizer is not None:
-                batch_size = self.sizer.suggest_batch(count, self.default_batch_size)
-            else:
-                batch_size = self.default_batch_size or count
+            batch_size = self.default_batch_size or count
         task_id = self._next_task_id
         self._next_task_id += 1
         if instance_ref is not None:
@@ -1079,18 +920,12 @@ class WorkerPool:
     def plan_counts(self, total: int) -> list[int]:
         """Split a ``total``-neighbor fan-out into per-task counts.
 
-        Without adaptive sizing this is the static even split across
-        alive workers that the drivers always used; with it, the
-        :class:`AdaptiveSizer`'s suggested count takes over once it has
-        seen enough completed tasks.
+        The static even split across alive workers (the last count
+        takes the remainder).
         """
         if total < 1:
             return []
-        n_slots = max(self._alive_count(), 1)
-        if self.sizer is not None:
-            per = self.sizer.suggest_count(total, n_slots)
-        else:
-            per = max(1, -(-total // n_slots))
+        per = max(1, -(-total // max(self._alive_count(), 1)))
         counts = [per] * (total // per)
         if total % per:
             counts.append(total % per)
@@ -1243,22 +1078,15 @@ class WorkerPool:
         sweep and returns, otherwise it sleeps in ``poll_interval``
         steps until the deadline.
         """
-        started = time.monotonic()
-        deadline = started + timeout
-        try:
-            while True:
-                drained = sum(self._drain_slot(slot, events) for slot in self._slots)
-                if drained:
-                    return
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return
-                time.sleep(min(self.params.poll_interval, remaining))
-        finally:
-            if self.sizer is not None:
-                # The blocked portion of this pass is the master-wait
-                # signal the batch-size suggestion feeds on.
-                self.sizer.observe_wait(time.monotonic() - started)
+        deadline = time.monotonic() + timeout
+        while True:
+            drained = sum(self._drain_slot(slot, events) for slot in self._slots)
+            if drained:
+                return
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            time.sleep(min(self.params.poll_interval, remaining))
 
     def _accept_batch(self, msg: PoolBatch, events: list[BatchEvent]) -> None:
         slot = self._slots[msg.worker] if 0 <= msg.worker < len(self._slots) else None
@@ -1330,8 +1158,6 @@ class WorkerPool:
             self._tasks_completed += 1
             latency = time.monotonic() - state.submitted_at
             self._latencies.append(latency)
-            if self.sizer is not None:
-                self.sizer.observe_task(state.task.count, latency, msg.phase)
             # Worker-side phase timings fold into the master's profile
             # under the same phase names the sequential driver uses, so
             # one table shows where worker time went regardless of
@@ -1510,7 +1336,6 @@ class WorkerPool:
                 "wire_batch_bytes": self._wire_batch_bytes,
                 "instance_ref_tasks": self._instance_ref_tasks,
             },
-            "adaptive": self.sizer.summary() if self.sizer is not None else None,
             "crashes": self._crashes,
             "stragglers": self._stragglers,
             "respawns": self._respawns_used,

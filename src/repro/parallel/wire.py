@@ -520,26 +520,41 @@ def instance_to_wire(instance) -> dict:
     }
 
 
+#: the keys :func:`instance_to_wire` writes and :func:`instance_from_wire` needs.
+_INSTANCE_FIELDS = (
+    "name",
+    "x",
+    "y",
+    "demand",
+    "ready_time",
+    "due_date",
+    "service_time",
+    "capacity",
+    "n_vehicles",
+)
+
+
 def instance_from_wire(wire: dict):
     """Rebuild an instance from :func:`instance_to_wire` data.
 
     Goes through the validating ``Instance`` constructor on purpose —
     ledger bytes are less trusted than live objects, and the O(N^2)
-    travel recompute happens once per recovery, not per task.
+    travel recompute happens once per recovery, not per task.  A
+    payload that is not an object, lacks a field or fails validation
+    raises :class:`~repro.errors.LedgerError` naming the problem.
     """
+    from repro.errors import InstanceError, LedgerError
     from repro.vrptw.instance import Instance
 
-    return Instance(
-        name=wire["name"],
-        x=wire["x"],
-        y=wire["y"],
-        demand=wire["demand"],
-        ready_time=wire["ready_time"],
-        due_date=wire["due_date"],
-        service_time=wire["service_time"],
-        capacity=wire["capacity"],
-        n_vehicles=wire["n_vehicles"],
-    )
+    if not isinstance(wire, dict):
+        raise LedgerError(f"instance payload must be an object, got {type(wire).__name__}")
+    missing = [name for name in _INSTANCE_FIELDS if name not in wire]
+    if missing:
+        raise LedgerError(f"instance payload is missing field(s) {missing}")
+    try:
+        return Instance(**{name: wire[name] for name in _INSTANCE_FIELDS})
+    except (InstanceError, TypeError, ValueError) as exc:
+        raise LedgerError(f"instance payload is malformed: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,14 @@ from dataclasses import asdict, dataclass, field, fields
 
 from repro.core.evaluation import Evaluator
 from repro.core.stats_cache import CacheStats
-from repro.errors import CheckpointError, JobCancelled, ServeError, WrongInstanceError
+from repro.errors import (
+    CheckpointError,
+    JobCancelled,
+    LedgerError,
+    SearchError,
+    ServeError,
+    WrongInstanceError,
+)
 from repro.obs import NULL_OBS
 from repro.parallel.mp_backend import _wire_neighbor
 from repro.parallel.shm import SharedInstanceRef, instance_fingerprint
@@ -65,6 +72,23 @@ class JobState:
     DONE = "done"
     CANCELLED = "cancelled"
     FAILED = "failed"
+
+
+#: JSON types of :meth:`JobSpec.to_wire`'s scalar fields (``params`` and
+#: ``instance`` decode through their own constructors).
+_WIRE_TYPES = {
+    "job_id": str,
+    "tenant": str,
+    "priority": int,
+    "seed": (int, type(None)),
+    "driver": str,
+    "n_tasks": int,
+    "checkpoint_every": (int, type(None)),
+    "resume": bool,
+    "max_retries": int,
+    "retry_backoff_s": (int, float),
+    "deadline_s": (int, float, type(None)),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,14 +182,41 @@ class JobSpec:
         snapshot instead of restarting.  Ledgers written before specs
         carried instances simply lack the key, which decodes to the
         scheduler-default instance.
+
+        The wire form is untrusted ledger data: a payload that is not an
+        object, lacks ``job_id``/``params``, carries unknown or
+        wrong-typed fields or fails validation raises
+        :class:`~repro.errors.LedgerError` naming the bad field.
         """
+        if not isinstance(wire, dict):
+            raise LedgerError(f"job spec must be an object, got {type(wire).__name__}")
+        unknown = sorted(set(wire) - {f.name for f in fields(cls)})
+        if unknown:
+            raise LedgerError(f"job spec has unknown field(s) {unknown}")
+        for name in ("job_id", "params"):
+            if name not in wire:
+                raise LedgerError(f"job spec is missing field {name!r}")
+        mistyped = [
+            name
+            for name, kinds in _WIRE_TYPES.items()
+            if name in wire and not isinstance(wire[name], kinds)
+        ]
+        if mistyped:
+            raise LedgerError(f"job spec field(s) {mistyped} have the wrong type")
         data = dict(wire)
-        data["params"] = TSMOParams(**data["params"])
-        payload = data.get("instance")
-        if isinstance(payload, dict):
-            data["instance"] = instance_from_wire(payload)
+        if not isinstance(data["params"], dict):
+            raise LedgerError("job spec field 'params' must be an object")
+        try:
+            data["params"] = TSMOParams(**data["params"])
+        except (SearchError, TypeError, ValueError) as exc:
+            raise LedgerError(f"job spec field 'params' is malformed: {exc}") from exc
+        if data.get("instance") is not None:
+            data["instance"] = instance_from_wire(data["instance"])
         data.update(overrides)
-        return cls(**data)
+        try:
+            return cls(**data)
+        except ServeError as exc:
+            raise LedgerError(f"job spec is malformed: {exc}") from exc
 
 
 class Job:

@@ -11,43 +11,30 @@ parallelizes.  Each produced :class:`Neighbor` carries the move (for
 the tabu attribute) and its objectives; every neighbor costs one unit
 of the evaluation budget.
 
-For registries whose operators all provide descriptor emitters (the
-paper's standard five do), sampling and evaluation run through the
-batched kernel in :mod:`repro.core.batch_eval`: one uniform block
-drives all operator wheels at once, candidate feasibility is screened
-with array gathers, and the surviving moves' objectives are assembled
-in a handful of vectorized operations.  The ``REPRO_VECTOR_EVAL`` knob
-(on by default) switches only the *evaluation* side between the kernel
-and the scalar bit-identity oracle
-(:meth:`~repro.core.evaluation.Evaluator.evaluate_move`); the sampled
-moves are the same stream either way, and the two settings must
-produce bit-identical search trajectories.
-
-Registries containing operators without emitters (e.g. the non-paper
-``SegmentExchange``) keep the legacy scalar loop: per-move
-``draw_move`` through :class:`repro.rng.FastRng` (a buffered
-bit-identical facade over the sampler's PCG64 stream) plus per-move
-delta evaluation.  The child :class:`Solution` — and on the kernel
-path even the move object — materializes lazily, only if the neighbor
-is actually selected or archived (roughly 1 of S per iteration).
+Sampling and evaluation run through :func:`repro.core.batch_eval.
+sample_batch` on every driver: one uniform block spins the operator
+wheel for the whole neighborhood, each operator's descriptor emitter
+screens its candidates against the local feasibility criterion with
+array gathers, slots whose candidates all failed fall back to scalar
+``draw_move``, and each move is scored by scalar delta evaluation
+(:meth:`~repro.core.evaluation.Evaluator.evaluate_move`).  The child
+:class:`Solution` materializes lazily, only if the neighbor is actually
+selected or archived (roughly 1 of S per iteration).
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.core.batch_eval import batch_supported, sample_batch, vector_eval_enabled
+from repro.core.batch_eval import sample_batch
 from repro.core.evaluation import Evaluator
 from repro.core.objectives import ObjectiveVector
 from repro.core.operators.base import Move
 from repro.core.operators.registry import OperatorRegistry
 from repro.core.solution import Solution
 from repro.errors import SearchError
-from repro.rng import FastRng
 
-__all__ = ["LazyNeighbor", "Neighbor", "sample_neighborhood"]
+__all__ = ["Neighbor", "sample_neighborhood"]
 
 
 class Neighbor:
@@ -61,7 +48,7 @@ class Neighbor:
     process shipped the routes back).
     """
 
-    __slots__ = ("_move", "objectives", "iteration", "_parent", "_solution")
+    __slots__ = ("move", "objectives", "iteration", "_parent", "_solution")
 
     def __init__(
         self,
@@ -74,7 +61,8 @@ class Neighbor:
     ) -> None:
         if (parent is None) == (solution is None):
             raise SearchError("Neighbor needs exactly one of parent= or solution=")
-        self._move = move
+        #: the move that produced this neighbor.
+        self.move = move
         self.objectives = objectives
         #: iteration at which the neighbor was generated (used by the
         #: asynchronous variant, where stragglers' neighbors join later
@@ -82,11 +70,6 @@ class Neighbor:
         self.iteration = iteration
         self._parent = parent
         self._solution = solution
-
-    @property
-    def move(self) -> Move:
-        """The move that produced this neighbor."""
-        return self._move
 
     @property
     def solution(self) -> Solution:
@@ -104,43 +87,10 @@ class Neighbor:
 
     def __repr__(self) -> str:
         state = "materialized" if self._solution is not None else "lazy"
-        name = self._move.name if self._move is not None else "<deferred>"
         return (
-            f"{type(self).__name__}({name!r}, objectives={self.objectives!r}, "
+            f"{type(self).__name__}({self.move.name!r}, objectives={self.objectives!r}, "
             f"iteration={self.iteration}, {state})"
         )
-
-
-class LazyNeighbor(Neighbor):
-    """A neighbor whose move is rebuilt from its descriptor on demand.
-
-    The batch kernel scores a whole neighborhood without constructing
-    move objects; only the (typically single) neighbor that wins
-    selection or enters the archive ever touches :attr:`move`.  The
-    maker is a zero-argument callable capturing the descriptor row and
-    the parent summary; the built move is cached on first access.
-    """
-
-    __slots__ = ("_maker",)
-
-    def __init__(
-        self,
-        maker,
-        objectives: ObjectiveVector,
-        iteration: int = 0,
-        *,
-        parent: Solution,
-    ) -> None:
-        super().__init__(None, objectives, iteration, parent=parent)
-        self._maker = maker
-
-    @property
-    def move(self) -> Move:
-        mv = self._move
-        if mv is None:
-            mv = self._maker()
-            self._move = mv
-        return mv
 
 
 def sample_neighborhood(
@@ -161,67 +111,19 @@ def sample_neighborhood(
 
     ``profiler`` (a :class:`~repro.obs.profiler.PhaseProfiler` in
     wall-clock units) splits the loop into *generate* (move proposal)
-    and *evaluate* (delta evaluation) phases.  The instrumented loop is
-    a separate body so the default path stays exactly as fast as
-    before; the draws and evaluations themselves are identical, so the
-    produced neighborhood is bit-for-bit the same.
+    and *evaluate* (delta evaluation) phases.  The clock is read only
+    when a profiler is given; the draws and evaluations are the same
+    either way, so the produced neighborhood is bit-for-bit the same.
     """
-    neighbors: list[Neighbor] = []
     if size <= 0:
-        return neighbors
-    if batch_supported(registry):
-        result = sample_batch(
-            solution,
-            size,
-            registry,
-            rng,
-            evaluator,
-            vector=vector_eval_enabled(),
-            timed=profiler is not None,
-        )
-        for objectives, move, maker in result.entries:
-            if maker is not None:
-                append_neighbor = LazyNeighbor(maker, objectives, iteration, parent=solution)
-            else:
-                append_neighbor = Neighbor(move, objectives, iteration, parent=solution)
-            neighbors.append(append_neighbor)
-        if profiler is not None:
-            profiler.add("generate", result.gen_seconds)
-            profiler.add("evaluate", result.eval_seconds)
-        return neighbors
-    # Legacy scalar loop — the registry holds operators without
-    # descriptor emitters, so both knob settings sample and evaluate
-    # per move (and the kernel's fallback counter records the misses).
-    metrics = evaluator.metrics
-    draw_move = registry.draw_move
-    evaluate_move = evaluator.evaluate_move
-    append = neighbors.append
-    fast = FastRng(rng)
-    try:
-        if profiler is None:
-            for _ in range(size):
-                move = draw_move(solution, fast)
-                if move is None:
-                    break
-                objectives = evaluate_move(solution, move)
-                append(Neighbor(move, objectives, iteration, parent=solution))
-        else:
-            perf_counter = time.perf_counter
-            generated = evaluated = 0.0
-            for _ in range(size):
-                t0 = perf_counter()
-                move = draw_move(solution, fast)
-                t1 = perf_counter()
-                generated += t1 - t0
-                if move is None:
-                    break
-                objectives = evaluate_move(solution, move)
-                evaluated += perf_counter() - t1
-                append(Neighbor(move, objectives, iteration, parent=solution))
-            profiler.add("generate", generated)
-            profiler.add("evaluate", evaluated)
-    finally:
-        fast.detach()
-    if metrics.enabled and neighbors:
-        metrics.inc("eval.scalar_fallbacks", len(neighbors))
-    return neighbors
+        return []
+    result = sample_batch(
+        solution, size, registry, rng, evaluator, timed=profiler is not None
+    )
+    if profiler is not None:
+        profiler.add("generate", result.gen_seconds)
+        profiler.add("evaluate", result.eval_seconds)
+    return [
+        Neighbor(move, objectives, iteration, parent=solution)
+        for objectives, move in result.entries
+    ]

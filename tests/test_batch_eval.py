@@ -1,203 +1,269 @@
-"""The batch neighborhood-evaluation kernel and its bit-identity oracle.
+"""The batched neighborhood sampler and the oracles that pin it.
 
-Four layers under test (DESIGN.md "Batch evaluation kernel"):
+Five layers under test (DESIGN.md "Batched sampling"):
 
-* per-operator descriptor emitters: for every batch-enabled operator a
-  kernel-evaluated neighborhood must be *bit-identical* — same moves,
-  same objective floats, same RNG stream position — to the scalar
-  oracle path (``vector=False``), across chains of parents that
-  exercise route deletion, new-route relocation and tight windows;
-* :func:`batch_route_stats` must reproduce the scalar arrival-time
-  recursion bit-for-bit, including empty/singleton/depot-adjacent
-  routes;
-* the five search drivers must walk *identical trajectories* with the
-  ``REPRO_VECTOR_EVAL`` knob on and off — the knob may change who
-  computes the numbers, never the numbers;
-* the kernel's observability counters (``eval.vector_calls``,
-  ``eval.batch_size``, ``eval.scalar_fallbacks``) and the deferred
-  cache protocol behave as documented.
+* per-operator descriptor emitters: for every operator, the first
+  valid row of ``propose_batch`` over a block of uniforms builds the
+  exact move scalar ``propose`` returns from the same uniforms;
+* the sampler's slot semantics: ``sample_batch`` equals a scalar
+  replay that spins the same wheel, screens each candidate through
+  scalar ``propose`` and fills the leftovers with ``draw_move`` — same
+  moves, same RNG stream position;
+* every sampled entry's objectives are bit-identical to
+  ``move.apply(parent).objectives``;
+* whole five-driver trajectories are unchanged with route-stats
+  retention off;
+* registries: an operator without an emitter is rejected, and the
+  six-operator registry samples through ``sample_batch`` on both the
+  sequential and the pool path with bit-identical neighbors.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch_eval import (
-    batch_route_stats,
-    batch_supported,
-    sample_batch,
-    vector_eval_enabled,
-)
+import repro.core.batch_eval as batch_eval
+import repro.parallel.pool as pool_module
+import repro.tabu.neighborhood as neighborhood_module
+from repro.core.batch_eval import _MOVE_BUILDERS, ParentArrays, _InstanceArrays, sample_batch
 from repro.core.construction import i1_construct
-from repro.core.evaluation import Evaluator
+from repro.core.evaluation import Evaluator, evaluate
+from repro.core.operators.base import Operator
 from repro.core.operators.exchange import Exchange
 from repro.core.operators.or_opt import OrOpt
-from repro.core.operators.registry import OperatorRegistry, default_registry
+from repro.core.operators.registry import OperatorRegistry
 from repro.core.operators.relocate import Relocate
 from repro.core.operators.segment_exchange import SegmentExchange
 from repro.core.operators.two_opt import TwoOpt
 from repro.core.operators.two_opt_star import TwoOptStar
-from repro.core.routes import route_stats
 from repro.core.solution import Solution
-from repro.core.stats_cache import RouteStatsCache
+from repro.errors import OperatorError
 from repro.obs import Obs
 from repro.parallel.async_ts import AsyncParams, run_asynchronous_tsmo
 from repro.parallel.base import run_sequential_simulated
 from repro.parallel.collab_ts import CollabParams, run_collaborative_tsmo
+from repro.parallel.messages import PoolTask
+from repro.parallel.pool import execute_task
 from repro.parallel.sync_ts import run_synchronous_tsmo
-from repro.tabu.neighborhood import LazyNeighbor, sample_neighborhood
+from repro.tabu.neighborhood import sample_neighborhood
 from repro.tabu.search import run_sequential_tsmo
 from repro.vrptw.generator import generate_instance
 
-OPERATORS = [Relocate, Exchange, TwoOpt, TwoOptStar, OrOpt]
+OPERATORS = [Relocate, Exchange, TwoOpt, TwoOptStar, OrOpt, SegmentExchange]
 
 
-def assert_entries_identical(parent, vec, oracle):
-    """Two BatchResults agree bit-for-bit (moves, floats, children)."""
-    assert len(vec.entries) == len(oracle.entries)
-    for (obj_v, move_v, maker), (obj_o, move_o, _) in zip(
-        vec.entries, oracle.entries
-    ):
-        move_v = move_v if move_v is not None else maker()
-        assert move_v == move_o
-        assert obj_v.distance == obj_o.distance
-        assert obj_v.vehicles == obj_o.vehicles
-        assert obj_v.tardiness == obj_o.tardiness
-        child = move_v.apply(parent)
-        assert obj_v.distance == child.objectives.distance
-        assert obj_v.tardiness == child.objectives.tardiness
-        assert obj_v.vehicles == child.objectives.vehicles
+def all_six_registry() -> OperatorRegistry:
+    return OperatorRegistry([op() for op in OPERATORS])
+
+
+def parent_arrays(solution) -> ParentArrays:
+    return ParentArrays(solution, _InstanceArrays(solution.instance))
+
+
+def walk_parents(seed: int, steps: int):
+    """A tight-window instance and a chain of parents reached by random
+    moves, so later parents carry deleted, freshly opened and
+    single-customer routes."""
+    rng = np.random.default_rng(seed)
+    instance = generate_instance(
+        ("R1", "C2", "R2")[seed % 3], 16, seed=int(rng.integers(1, 10**6))
+    )
+    solution = i1_construct(instance, rng=rng)
+    parents = [solution]
+    registry = all_six_registry()
+    for _ in range(steps):
+        move = registry.draw_move(solution, rng)
+        if move is None:
+            break
+        solution = move.apply(solution)
+        parents.append(solution)
+    return instance, parents
+
+
+def assert_objectives_exact(parent, entries):
+    """Every entry's objectives == move.apply(parent).objectives, bitwise."""
+    for objectives, move in entries:
+        child = move.apply(parent)
+        assert objectives.distance == child.objectives.distance
+        assert objectives.vehicles == child.objectives.vehicles
+        assert objectives.tardiness == child.objectives.tardiness
+        oracle = evaluate(parent.instance, child)
+        assert objectives.distance == oracle.distance
+        assert objectives.tardiness == oracle.tardiness
 
 
 # ----------------------------------------------------------------------
-# 1. Per-operator oracle equality, over chains of parents
+# 1. Emitter oracle: propose_batch == scalar propose, per operator
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("op_cls", OPERATORS, ids=lambda c: c.__name__)
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1), steps=st.integers(0, 6))
+def test_emitter_matches_scalar_propose(op_cls, seed, steps):
+    """Same uniforms in, same move out — the first valid emitter row is
+    the move scalar ``propose`` returns (``None`` when no row is valid
+    or the operator is not ready on this parent)."""
+    instance, parents = walk_parents(seed, steps)
+    for parent in parents:
+        op = op_cls()
+        pre = parent_arrays(parent)
+        scalar_rng = np.random.default_rng(seed)
+        before = scalar_rng.bit_generator.state
+        expected = op.propose(parent, scalar_rng)
+        if not op.batch_ready(pre):
+            # An unready operator bails before its first draw.
+            assert expected is None
+            assert scalar_rng.bit_generator.state == before
+            continue
+        words = op.batch_words
+        U = np.random.default_rng(seed).random(words * op.max_attempts)
+        fields, valid = op.propose_batch(pre, U.reshape(op.max_attempts, words))
+        rows = np.nonzero(valid)[0]
+        if rows.size == 0:
+            assert expected is None
+        else:
+            built = _MOVE_BUILDERS[op_cls](pre, fields[rows[0]].tolist())
+            assert built == expected
+        # The sampler's entries for this operator are exact too.
+        result = sample_batch(
+            parent, 8, OperatorRegistry([op_cls()]), np.random.default_rng(seed), Evaluator(instance)
+        )
+        assert_objectives_exact(parent, result.entries)
+
+
+# ----------------------------------------------------------------------
+# 2. Sampler slot semantics against a scalar replay
+# ----------------------------------------------------------------------
+
+
+def scalar_replay(solution, size, registry, rng):
+    """The sampler re-derived from scalar pieces: the same wheel block,
+    each candidate screened by a one-attempt scalar ``propose`` over its
+    own uniform row, the earliest valid round winning its slot, and the
+    leftover slots drawn by ``registry.draw_move``."""
+    operators = registry.operators
+    pre = parent_arrays(solution)
+    ready = [op.batch_ready(pre) for op in operators]
+    if not any(ready):
+        winners = [None] * size
+    else:
+        n = len(operators)
+        cumulative = registry._cumulative
+
+        def spin(x):
+            if registry._uniform:
+                return min(int(x * n), n - 1)
+            return next((i for i, c in enumerate(cumulative) if x < c), n - 1)
+
+        kinds = [spin(x) for x in rng.random(size * batch_eval._ROUNDS).tolist()]
+        moves = [None] * len(kinds)
+        for k, op in enumerate(operators):
+            if not ready[k]:
+                continue
+            picks = [p for p, kind in enumerate(kinds) if kind == k]
+            block = rng.random(len(picks) * op.batch_words).reshape(len(picks), op.batch_words)
+            one_shot = copy.copy(op)
+            one_shot.max_attempts = 1
+            for p, row in zip(picks, block):
+                moves[p] = one_shot.propose(solution, _RowRng(row))
+        winners = []
+        for s in range(size):
+            rounds = moves[s * batch_eval._ROUNDS : (s + 1) * batch_eval._ROUNDS]
+            winners.append(next((m for m in rounds if m is not None), None))
+    out = []
+    for move in winners:
+        if move is None:
+            move = registry.draw_move(solution, rng)
+            if move is None:
+                break
+        out.append(move)
+    return out
+
+
+class _RowRng:
+    """Hands scalar ``propose`` one fixed row of uniforms."""
+
+    def __init__(self, row) -> None:
+        self.row = row
+
+    def random(self, n):
+        assert n == len(self.row)
+        return self.row
+
+
+@pytest.mark.parametrize("op_cls", OPERATORS, ids=lambda c: c.__name__)
+@settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_kernel_matches_oracle_per_operator(op_cls, seed):
-    """Single-operator registries: kernel == oracle, bit for bit.
-
-    Each example walks a fresh tight-window instance through a short
-    chain of accepted moves, so later samples see parents with deleted
-    routes, freshly opened routes and cold caches — the assembly paths
-    the single-shot test cannot reach.
-    """
-    rng = np.random.default_rng(seed)
-    instance = generate_instance("R1", 16, seed=int(rng.integers(1, 10**6)))
-    solution = i1_construct(instance, rng=rng)
+    """Single-operator registries: ``sample_batch`` == the scalar replay
+    (moves and RNG stream position), with exact objectives, over a
+    chain of parents."""
+    instance, parents = walk_parents(seed, 4)
     registry = OperatorRegistry([op_cls()])
-    assert batch_supported(registry)
-    master = np.random.default_rng(seed ^ 0x5EED)
-    for _ in range(3):
-        state = master.bit_generator.state
-        vec_rng = np.random.default_rng()
-        vec_rng.bit_generator.state = state
-        ora_rng = np.random.default_rng()
-        ora_rng.bit_generator.state = state
-        vec = sample_batch(
-            solution, 12, registry, vec_rng, Evaluator(instance), vector=True
-        )
-        oracle = sample_batch(
-            solution, 12, registry, ora_rng, Evaluator(instance), vector=False
-        )
-        assert vec_rng.bit_generator.state == ora_rng.bit_generator.state
-        assert_entries_identical(solution, vec, oracle)
-        master.bit_generator.state = vec_rng.bit_generator.state
-        if not vec.entries:
-            break
-        obj, move, maker = vec.entries[0]
-        move = move if move is not None else maker()
-        solution = move.apply(solution)
+    for parent in parents:
+        batch_rng = np.random.default_rng(seed ^ 0x5EED)
+        replay_rng = np.random.default_rng(seed ^ 0x5EED)
+        result = sample_batch(parent, 12, registry, batch_rng, Evaluator(instance))
+        expected = scalar_replay(parent, 12, registry, replay_rng)
+        assert [move for _, move in result.entries] == expected
+        assert batch_rng.bit_generator.state == replay_rng.bit_generator.state
+        assert_objectives_exact(parent, result.entries)
 
 
-def test_kernel_matches_oracle_mixed_registry(small_instance, small_solution):
-    """The paper's five-operator wheel: one big sampled neighborhood."""
-    registry = default_registry()
-    vec_rng = np.random.default_rng(31337)
-    ora_rng = np.random.default_rng(31337)
-    vec = sample_batch(
-        small_solution, 60, registry, vec_rng, Evaluator(small_instance), vector=True
+def assert_matches_replay(solution, registry):
+    batch_rng = np.random.default_rng(31337)
+    replay_rng = np.random.default_rng(31337)
+    result = sample_batch(solution, 60, registry, batch_rng, Evaluator(solution.instance))
+    assert len(result.entries) == 60
+    assert [move for _, move in result.entries] == scalar_replay(
+        solution, 60, registry, replay_rng
     )
-    oracle = sample_batch(
-        small_solution,
-        60,
-        default_registry(),
-        ora_rng,
-        Evaluator(small_instance),
-        vector=False,
+    assert float(batch_rng.random()) == float(replay_rng.random())
+    assert_objectives_exact(solution, result.entries)
+
+
+def test_kernel_matches_oracle_mixed_registry(small_solution):
+    """The full six-operator wheel over one big neighborhood."""
+    assert_matches_replay(small_solution, all_six_registry())
+
+
+def test_kernel_matches_oracle_weighted_registry(small_solution):
+    """A weighted wheel spins through the cumulative thresholds."""
+    registry = OperatorRegistry(
+        [op() for op in OPERATORS], weights=[5.0, 1.0, 1.0, 2.0, 1.0, 3.0]
     )
-    assert len(vec.entries) == 60
-    assert_entries_identical(small_solution, vec, oracle)
-    assert float(vec_rng.random()) == float(ora_rng.random())
+    assert_matches_replay(small_solution, registry)
 
 
 def test_kernel_scalar_tail_when_no_kind_ready(tiny_instance):
     """A parent no emitter can serve routes every slot to the tail.
 
     On a single-route solution Exchange/TwoOptStar have an empty wheel
-    (``batch_ready`` is false), so the kernel consumes no block RNG and
-    the whole neighborhood comes from scalar ``draw_move`` — on *both*
-    knob settings, keeping the stream aligned.
+    (``batch_ready`` is false), so the sampler consumes no block RNG and
+    the neighborhood is exactly what ``draw_move`` yields — here
+    nothing, after the retry cap, with the stream left where a lone
+    ``draw_move`` leaves it.
     """
     customers = tuple(range(1, tiny_instance.n_customers + 1))
     solution = Solution(tiny_instance, (customers,))
     for op_cls in (Exchange, TwoOptStar):
         registry = OperatorRegistry([op_cls()])
-        vec_rng = np.random.default_rng(7)
-        ora_rng = np.random.default_rng(7)
-        vec = sample_batch(
-            solution, 10, registry, vec_rng, Evaluator(tiny_instance), vector=True
-        )
-        oracle = sample_batch(
-            solution, 10, registry, ora_rng, Evaluator(tiny_instance), vector=False
-        )
-        assert vec_rng.bit_generator.state == ora_rng.bit_generator.state
-        assert_entries_identical(solution, vec, oracle)
+        batch_rng = np.random.default_rng(7)
+        replay_rng = np.random.default_rng(7)
+        result = sample_batch(solution, 10, registry, batch_rng, Evaluator(tiny_instance))
+        assert result.entries == []
+        assert registry.draw_move(solution, replay_rng) is None
+        assert batch_rng.bit_generator.state == replay_rng.bit_generator.state
 
 
 # ----------------------------------------------------------------------
-# 2. batch_route_stats == route_stats, bit for bit
-# ----------------------------------------------------------------------
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-def test_batch_route_stats_bitwise_equal(seed):
-    """Vectorized route scans == scalar scans on random route mixes."""
-    rng = np.random.default_rng(seed)
-    instance = generate_instance(
-        "R1" if seed % 2 else "C2", 20, seed=int(rng.integers(1, 10**6))
-    )
-    customers = list(rng.permutation(np.arange(1, 21)))
-    routes = []
-    while customers:
-        k = int(rng.integers(1, 6))
-        routes.append(tuple(int(c) for c in customers[:k]))
-        customers = customers[k:]
-    # Edge shapes the sampler rarely emits together: empty, singleton,
-    # and a full tour (deep recursion, guaranteed tardiness on R1).
-    routes += [(), (1,), tuple(range(1, 21))]
-    batched = batch_route_stats(instance, routes)
-    assert len(batched) == len(routes)
-    for route, st_b in zip(routes, batched):
-        st_s = route_stats(instance, route)
-        assert st_b.distance == st_s.distance
-        assert st_b.tardiness == st_s.tardiness
-        assert st_b.load == st_s.load
-
-
-def test_batch_route_stats_empty_input(small_instance):
-    assert batch_route_stats(small_instance, []) == []
-
-
-# ----------------------------------------------------------------------
-# 3. Knob invariance: whole search trajectories
+# 3. Whole trajectories: the cache knob changes who computes, not what
 # ----------------------------------------------------------------------
 
 DRIVERS = [
@@ -222,11 +288,7 @@ def run_driver(driver, instance, params, seed):
         )
     if driver == "collaborative":
         return run_collaborative_tsmo(
-            instance,
-            params,
-            3,
-            seed,
-            collab_params=CollabParams(initial_phase_patience=3),
+            instance, params, 3, seed, collab_params=CollabParams(initial_phase_patience=3)
         )
     raise AssertionError(driver)
 
@@ -243,137 +305,111 @@ def fingerprint(result):
 
 
 @pytest.mark.parametrize("driver", DRIVERS)
-def test_trajectory_identical_knob_on_and_off(
-    driver, small_instance, quick_params, monkeypatch
-):
-    """REPRO_VECTOR_EVAL only changes who computes, never the search."""
-    monkeypatch.setenv("REPRO_VECTOR_EVAL", "1")
+def test_trajectory_identical_knob_on_and_off(driver, small_instance, quick_params, monkeypatch):
+    """Route-stats retention on (default) and off
+    (``REPRO_STATS_CACHE_CAPACITY=0``): every sampled objective is
+    re-scanned instead of recalled, and the trajectory must not move."""
+    monkeypatch.delenv("REPRO_STATS_CACHE_CAPACITY", raising=False)
     on = run_driver(driver, small_instance, quick_params, seed=42)
-    monkeypatch.setenv("REPRO_VECTOR_EVAL", "0")
+    monkeypatch.setenv("REPRO_STATS_CACHE_CAPACITY", "0")
     off = run_driver(driver, small_instance, quick_params, seed=42)
+    assert on.cache_stats.hits > 0 and off.cache_stats.hits == 0
     assert fingerprint(on) == fingerprint(off)
 
 
-def test_vector_eval_enabled_parsing(monkeypatch):
-    for value in ("0", "false", "off", "no", "False", "OFF"):
-        monkeypatch.setenv("REPRO_VECTOR_EVAL", value)
-        assert not vector_eval_enabled()
-    for value in ("1", "true", "on", "yes", ""):
-        monkeypatch.setenv("REPRO_VECTOR_EVAL", value)
-        assert vector_eval_enabled()
-    monkeypatch.delenv("REPRO_VECTOR_EVAL")
-    assert vector_eval_enabled()  # on by default
-
-
 # ----------------------------------------------------------------------
-# 4. Registries without emitters keep the legacy loop
+# 4. Registries: emitters are mandatory, every path uses the sampler
 # ----------------------------------------------------------------------
 
 
-def all_six_registry() -> OperatorRegistry:
-    return OperatorRegistry(
-        [Relocate(), Exchange(), TwoOpt(), TwoOptStar(), OrOpt(), SegmentExchange()]
-    )
+class _NoEmitter(Operator):
+    name = "noemit"
+
+    def propose(self, solution, rng):
+        return None
 
 
-def test_segment_exchange_registry_not_batch_supported():
-    assert batch_supported(default_registry())
-    assert not batch_supported(all_six_registry())
+class _RelocateVariant(Relocate):
+    """Same emitter, but a type the move builders do not know."""
 
 
-def test_legacy_fallback_is_knob_invariant(
+@pytest.mark.parametrize("op", [_NoEmitter(), _RelocateVariant()], ids=["no-emitter", "subclass"])
+def test_registry_rejects_operator_without_emitter(op):
+    with pytest.raises(OperatorError, match="no batch emitter"):
+        OperatorRegistry([Relocate(), op])
+
+
+def test_six_operator_registry_samples_through_sample_batch(
     small_instance, small_solution, monkeypatch
 ):
-    """Unsupported registries sample identically under either knob."""
+    """The sequential sampler and the pool's task executor both go
+    through ``sample_batch`` and produce bit-identical neighbors."""
+    calls = []
 
-    def run(knob):
-        monkeypatch.setenv("REPRO_VECTOR_EVAL", knob)
-        return sample_neighborhood(
-            small_solution,
-            25,
-            all_six_registry(),
-            np.random.default_rng(99),
-            Evaluator(small_instance),
-        )
+    def counting(solution, size, *args, **kwargs):
+        calls.append(size)
+        return sample_batch(solution, size, *args, **kwargs)
 
-    on, off = run("1"), run("0")
-    assert len(on) == len(off) == 25
-    for a, b in zip(on, off):
-        assert a.move == b.move
-        assert a.objectives.distance == b.objectives.distance
+    monkeypatch.setattr(neighborhood_module, "sample_batch", counting)
+    monkeypatch.setattr(pool_module, "sample_batch", counting)
+
+    seq_rng = np.random.default_rng(99)
+    state = seq_rng.bit_generator.state
+    sequential = sample_neighborhood(
+        small_solution, 40, all_six_registry(), seq_rng, Evaluator(small_instance)
+    )
+    task = PoolTask(
+        task_id=1,
+        attempt=0,
+        routes=small_solution.routes,
+        count=40,
+        batch_size=7,
+        iteration=1,
+        rng_state=state,
+    )
+    batches = list(
+        execute_task(small_instance, Evaluator(small_instance), all_six_registry(), task, 0)
+    )
+    assert calls == [40, 40]
+    triples = [t for batch in batches for t in batch.neighbors]
+    assert len(triples) == len(sequential) == 40
+    assert {nb.move.name for nb in sequential} >= {"segx"}
+    for nb, (routes, objective, attribute) in zip(sequential, triples):
+        assert nb.solution.routes == routes
+        assert (nb.objectives.distance, nb.objectives.vehicles, nb.objectives.tardiness) == objective
+        assert nb.move.attribute == attribute
+    # The task hands the stream back where the sequential sampler left it.
+    assert batches[-1].rng_state == seq_rng.bit_generator.state
 
 
 # ----------------------------------------------------------------------
-# 5. Kernel counters through the observability layer
+# 5. Sampler counters through the observability layer
 # ----------------------------------------------------------------------
 
 
 def test_kernel_counters_on_instrumented_search(small_instance, quick_params):
     result = run_sequential_tsmo(small_instance, quick_params, seed=5, obs=Obs())
     counters = result.metrics["counters"]
-    assert counters.get("eval.vector_calls", 0) > 0
-    hist = result.metrics["histograms"].get("eval.batch_size")
-    assert hist is not None
-    assert sum(hist["counts"]) == counters["eval.vector_calls"]
+    # Every budget unit but the initial construction's full evaluate()
+    # is one scalar delta evaluation of a sampled move.
+    assert counters["evaluate.moves"] == result.evaluations - 1
+    assert 0 <= counters.get("eval.scalar_fallbacks", 0) <= counters["evaluate.moves"]
+    assert not any(name.startswith("eval.vector") for name in counters)
 
 
-def test_scalar_fallback_counter_on_legacy_loop(small_instance, small_solution):
+def test_scalar_fallback_counter_counts_tail_slots(small_instance, small_solution):
+    """Slots the wheel left unfilled are counted once each."""
     obs = Obs()
     evaluator = Evaluator(small_instance)
     evaluator.metrics = obs.metrics
-    neighbors = sample_neighborhood(
-        small_solution, 20, all_six_registry(), np.random.default_rng(3), evaluator
-    )
-    counters = obs.metrics.snapshot()["counters"]
-    assert counters.get("eval.scalar_fallbacks", 0) == len(neighbors) == 20
-    assert "eval.vector_calls" not in counters
+    # A lone, rarely valid operator: some slots exhaust all rounds and
+    # fall through to the scalar tail.
+    registry = OperatorRegistry([TwoOptStar()])
+    unfilled = batch_eval._propose_all(
+        200, registry, np.random.default_rng(4), parent_arrays(small_solution)
+    )[2]
+    result = sample_batch(small_solution, 200, registry, np.random.default_rng(4), evaluator)
+    tail = sum(1 for s in unfilled.tolist() if s < len(result.entries))
+    assert tail > 0
+    assert obs.metrics.snapshot()["counters"]["eval.scalar_fallbacks"] == tail
 
-
-# ----------------------------------------------------------------------
-# 6. Lazy moves and the deferred cache protocol
-# ----------------------------------------------------------------------
-
-
-def test_lazy_neighbor_builds_move_on_demand(small_instance, small_solution):
-    neighbors = sample_neighborhood(
-        small_solution,
-        30,
-        default_registry(),
-        np.random.default_rng(11),
-        Evaluator(small_instance),
-    )
-    lazies = [nb for nb in neighbors if isinstance(nb, LazyNeighbor)]
-    assert lazies, "kernel neighborhoods should defer most move builds"
-    nb = lazies[0]
-    assert nb._move is None
-    first = nb.move
-    assert nb._move is first and nb.move is first  # built once, cached
-    child = nb.solution
-    assert child.objectives.distance == nb.objectives.distance
-
-
-def test_lookup_deferred_protocol(small_instance):
-    cache = RouteStatsCache(small_instance, capacity=8)
-    route = (1, 2, 3)
-    # First touch: a counted miss that parks a placeholder.
-    assert cache.lookup_deferred(route) is None
-    assert cache.misses == 1 and cache.hits == 0
-    # Second touch before fulfillment: a counted hit, still pending.
-    assert cache.lookup_deferred(route) is None
-    assert cache.hits == 1
-    st = route_stats(small_instance, route)
-    cache.fulfill(route, st)
-    assert cache.lookup_deferred(route) is st
-    assert cache.lookup(route) is st
-    # fulfill never overwrites a real entry.
-    cache.fulfill(route, route_stats(small_instance, (3, 2, 1)))
-    assert cache.lookup(route) is st
-    assert cache.hits + cache.misses == cache.lookups
-
-
-def test_lookup_deferred_capacity_zero(small_instance):
-    cache = RouteStatsCache(small_instance, capacity=0)
-    assert cache.lookup_deferred((1, 2)) is None
-    assert cache.lookup_deferred((1, 2)) is None
-    assert len(cache) == 0
-    assert cache.misses == cache.lookups == 2

@@ -6,10 +6,9 @@ Three layers are under test (see DESIGN.md "delta evaluation"):
   materializing the child solution — bit-identical floats, because the
   search's tie-breaking (and therefore the whole trajectory) hangs on
   them — and must agree with the independent permutation oracle;
-* the whole sampling path (``FastRng`` + operator memos + prefix-sum
-  resume) must leave search trajectories unchanged: an eager
-  re-implementation of the sampler over the same seed selects the same
-  moves and computes the same objectives;
+* the whole sampling path (batched proposal + operator memos +
+  prefix-sum resume) must leave search trajectories unchanged: every
+  sampled objective equals a cold scalar re-evaluation of its move;
 * the :class:`RouteStatsCache` counters are a consistent observability
   surface and the LRU bound actually bounds.
 """
@@ -31,7 +30,6 @@ from repro.core.operators.segment_exchange import SegmentExchange
 from repro.core.operators.two_opt import TwoOpt
 from repro.core.operators.two_opt_star import TwoOptStar
 from repro.core.stats_cache import CacheStats, RouteStatsCache
-from repro.rng import FastRng
 from repro.tabu.neighborhood import sample_neighborhood
 from repro.tabu.params import TSMOParams
 from repro.tabu.search import run_sequential_tsmo
@@ -89,71 +87,39 @@ def test_delta_matches_oracle_over_move_chains(seed):
 
 
 # ----------------------------------------------------------------------
-# Determinism: the kernel sampler replays the scalar oracle exactly
+# Determinism: the sampler agrees with cold scalar evaluation exactly
 # ----------------------------------------------------------------------
 
 
 def test_sampler_bit_identical_to_scalar_oracle(small_instance, small_solution):
-    """Kernel-evaluated neighborhoods == scalar-oracle neighborhoods.
+    """Sampled objectives == scalar re-evaluation, bit for bit.
 
-    Same seed, both knob settings: the sampled moves, the objective
-    floats (bit-for-bit), the materialized children, and the final RNG
-    stream position must all agree — the kernel only changes who
-    computes the numbers.
+    The sampler shares one warm route-stats cache and the per-parent
+    prefix sums across the neighborhood; a cold evaluator scoring each
+    move alone, the materialized child, and the permutation oracle must
+    all agree with it.
     """
     from repro.core.batch_eval import sample_batch
 
-    registry = default_registry()
-    vec_rng = np.random.default_rng(31337)
-    ora_rng = np.random.default_rng(31337)
-    vec = sample_batch(
-        small_solution, 40, registry, vec_rng, Evaluator(small_instance), vector=True
-    )
-    oracle = sample_batch(
+    result = sample_batch(
         small_solution,
         40,
         default_registry(),
-        ora_rng,
+        np.random.default_rng(31337),
         Evaluator(small_instance),
-        vector=False,
     )
-    assert len(vec.entries) == len(oracle.entries) == 40
-    for (obj_v, move_v, maker), (obj_o, move_o, _) in zip(vec.entries, oracle.entries):
-        move_v = move_v if move_v is not None else maker()
-        assert move_v == move_o
-        assert obj_v.distance == obj_o.distance
-        assert obj_v.vehicles == obj_o.vehicles
-        assert obj_v.tardiness == obj_o.tardiness
-        child = move_v.apply(small_solution)
-        assert obj_v.distance == child.objectives.distance
-        assert obj_v.tardiness == child.objectives.tardiness
-        assert obj_v.vehicles == child.objectives.vehicles
-    # Both paths must hand the stream back at the same position.
-    assert float(vec_rng.random()) == float(ora_rng.random())
-
-
-def test_sample_neighborhood_respects_vector_knob(
-    small_instance, small_solution, monkeypatch
-):
-    """The public sampler is knob-invariant: same neighbors either way."""
-
-    def run(knob):
-        monkeypatch.setenv("REPRO_VECTOR_EVAL", knob)
-        return sample_neighborhood(
-            small_solution,
-            30,
-            default_registry(),
-            np.random.default_rng(555),
-            Evaluator(small_instance),
-        )
-
-    on, off = run("1"), run("0")
-    assert len(on) == len(off) == 30
-    for a, b in zip(on, off):
-        assert a.move == b.move
-        assert a.objectives.distance == b.objectives.distance
-        assert a.objectives.vehicles == b.objectives.vehicles
-        assert a.objectives.tardiness == b.objectives.tardiness
+    assert len(result.entries) == 40
+    for objectives, move in result.entries:
+        cold = Evaluator(small_instance).evaluate_move(small_solution, move)
+        assert objectives.distance == cold.distance
+        assert objectives.vehicles == cold.vehicles
+        assert objectives.tardiness == cold.tardiness
+        child = move.apply(small_solution)
+        assert objectives.distance == child.objectives.distance
+        assert objectives.tardiness == child.objectives.tardiness
+        assert objectives.vehicles == child.objectives.vehicles
+        oracle = evaluate_permutation(small_instance, child.permutation)
+        assert np.allclose(objectives.as_array(), oracle.as_array())
 
 
 def test_fixed_seed_trace_is_reproducible(small_instance):
@@ -252,46 +218,3 @@ def test_parallel_results_expose_cache_stats(small_instance, quick_params):
         assert stats is not None, runner.__name__
         assert stats.hits > 0, runner.__name__
         assert stats.requests == stats.hits + stats.misses, runner.__name__
-
-
-# ----------------------------------------------------------------------
-# FastRng facade edge cases
-# ----------------------------------------------------------------------
-
-
-def test_fast_rng_delegates_for_non_pcg64():
-    from repro.rng import _DelegatingRng
-
-    gen = np.random.Generator(np.random.MT19937(5))
-    ref = np.random.Generator(np.random.MT19937(5))
-    fast = FastRng(gen)
-    assert type(fast) is _DelegatingRng
-    for _ in range(20):
-        assert fast.integers(0, 50) == int(ref.integers(0, 50))
-        assert fast.random() == float(ref.random())
-    fast.detach()  # no-op, must be safe
-
-
-def test_fast_rng_detach_round_trip():
-    a = np.random.default_rng(4242)
-    b = np.random.default_rng(4242)
-    fast = FastRng(a)
-    draws = [
-        fast.integers(0, 13),
-        fast.integers(1, 101),
-        fast.integers(0, 2**33),
-        fast.random(),
-        fast.integers(5, 6),
-    ]
-    expected = [
-        int(b.integers(0, 13)),
-        int(b.integers(1, 101)),
-        int(b.integers(0, 2**33)),
-        float(b.random()),
-        int(b.integers(5, 6)),
-    ]
-    assert draws == expected
-    fast.detach()
-    assert float(a.random()) == float(b.random())
-    assert int(a.integers(0, 1000)) == int(b.integers(0, 1000))
-    fast.detach()  # second detach is a documented no-op

@@ -816,6 +816,77 @@ class TestSpecWire:
         with pytest.raises(ServeError):
             JobSpec(job_id="x", deadline_s=0.0)
 
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda w: {}, "job_id"),
+            (lambda w: {k: v for k, v in w.items() if k != "params"}, "params"),
+            (lambda w: {**w, "colour": "blue"}, "colour"),
+            (lambda w: {**w, "params": {**w["params"], "warp": 9}}, "params"),
+            (lambda w: {**w, "params": [1, 2]}, "params"),
+            (lambda w: {**w, "instance": {}}, "name"),
+            (lambda w: {**w, "instance": "R1-16"}, "instance"),
+            (lambda w: {**w, "driver": "teleport"}, "driver"),
+            (lambda w: {**w, "priority": "high"}, "priority"),
+            (lambda w: {**w, "n_tasks": "2"}, "n_tasks"),
+            (lambda w: [w], "object"),
+        ],
+        ids=[
+            "empty",
+            "no-params",
+            "unknown-key",
+            "unknown-param",
+            "params-not-object",
+            "instance-without-keys",
+            "instance-not-object",
+            "bad-driver",
+            "mistyped-priority",
+            "mistyped-n-tasks",
+            "not-object",
+        ],
+    )
+    def test_malformed_wire_raises_ledger_error(self, mutate, field):
+        """Untrusted ledger specs fail typed, naming the bad field."""
+        wire = JobSpec(job_id="w", params=SMALL).to_wire()
+        with pytest.raises(LedgerError, match=field):
+            JobSpec.from_wire(mutate(wire))
+
+    def test_wire_types_cover_every_scalar_field(self):
+        from dataclasses import fields
+
+        from repro.serve.job import _WIRE_TYPES
+
+        names = {f.name for f in fields(JobSpec)}
+        assert set(_WIRE_TYPES) == names - {"params", "instance"}
+
+    def test_instance_payload_missing_field_is_ledger_error(self, instance):
+        from repro.parallel.wire import instance_from_wire, instance_to_wire
+
+        wire = instance_to_wire(instance)
+        del wire["due_date"]
+        with pytest.raises(LedgerError, match="due_date"):
+            instance_from_wire(wire)
+        with pytest.raises(LedgerError, match="malformed"):
+            instance_from_wire({**instance_to_wire(instance), "x": "not numbers"})
+
+    def test_recovery_over_malformed_spec_raises_ledger_error(self, instance, tmp_path):
+        """A hand-written ledger whose accepted spec is malformed stops
+        recovery with a typed error, and the scheduler shuts its pool."""
+        ledger = JobLedger(tmp_path / LEDGER_FILENAME)
+        ledger.record("accepted", "ok", spec=JobSpec(job_id="ok", params=SMALL).to_wire())
+        ledger.record("accepted", "bad", spec={"job_id": "bad", "tenant": "acme"})
+
+        async def scenario():
+            scheduler = SolveScheduler(
+                instance, n_workers=1, pool_params=FAST, checkpoint_dir=tmp_path
+            )
+            with pytest.raises(LedgerError, match="params"):
+                scheduler.start()
+            return scheduler
+
+        scheduler = run(scenario())
+        assert scheduler._pool is None
+
 
 # ----------------------------------------------------------------------
 # Per-job instances: multi-tenant in data, not just scheduling

@@ -9,7 +9,7 @@ Four layers, separately falsifiable:
   attach fidelity in-process, and subprocess leak checks (clean
   shutdown *and* a SIGKILL-induced respawn must leave no segment and
   no resource-tracker complaint);
-* the adaptive task sizer — pure-unit controller math;
+* the pool's static task plan (``plan_counts``);
 * end-to-end codec parity — seeded codec-on runs bit-identical to
   codec-off for both mp drivers.
 """
@@ -33,7 +33,7 @@ from repro.parallel.mp_backend import (
     run_multiprocessing_async_tsmo,
     run_multiprocessing_tsmo,
 )
-from repro.parallel.pool import AdaptiveSizer, FaultPlan, PoolParams, WorkerPool
+from repro.parallel.pool import FaultPlan, PoolParams, WorkerPool
 from repro.parallel.shm import share_instance
 from repro.parallel.wire import (
     WireBatch,
@@ -348,68 +348,9 @@ class TestSharedInstance:
 
 
 # ----------------------------------------------------------------------
-# Adaptive sizer
+# Task planning
 # ----------------------------------------------------------------------
-class TestAdaptiveSizer:
-    def test_static_split_until_ready(self):
-        sizer = AdaptiveSizer(min_count=4)
-        assert not sizer.ready
-        assert sizer.suggest_count(100, 4) == 25
-        assert sizer.suggest_batch(50, 10) == 10
-        assert sizer.suggest_batch(50, None) == 50
-
-    def test_balances_overhead_against_tail(self):
-        sizer = AdaptiveSizer(min_count=4)
-        # 1 ms per neighbor, 100 ms fixed overhead per task.
-        for _ in range(5):
-            sizer.observe_task(100, 0.2, (0.05, 0.05))
-        assert sizer.ready
-        # c* = sqrt(total * o / w) = sqrt(400 * 0.1 / 0.001) = 200,
-        # clamped to the static per-slot ceiling of 100.
-        assert sizer.suggest_count(400, 4) == 100
-        # With negligible dispatch overhead (10 us/task) the tail term
-        # dominates: c* = sqrt(400 * 1e-5 / 1e-3) = 2, clamped up to
-        # the floor of 4.
-        cheap = AdaptiveSizer(min_count=4)
-        for _ in range(5):
-            cheap.observe_task(100, 0.10001, (0.05, 0.05))
-        assert cheap.suggest_count(400, 4) == 4
-
-    def test_batch_targets_half_the_wait(self):
-        sizer = AdaptiveSizer()
-        for _ in range(5):
-            sizer.observe_task(100, 0.1, (0.05, 0.05))  # 1 ms / neighbor
-            sizer.observe_wait(0.05)
-        # 0.05 s wait / (2 * 0.001 s) = 25 neighbors per batch.
-        assert sizer.suggest_batch(100, 100) == 25
-        assert sizer.suggest_batch(100, 10) == 10  # never above default
-
-    def test_degenerate_observations_ignored(self):
-        sizer = AdaptiveSizer()
-        sizer.observe_task(0, 1.0, None)
-        sizer.observe_task(10, -1.0, None)
-        sizer.observe_wait(-5.0)
-        assert sizer.observed == 0 and sizer.wait_ema is None
-
-    def test_pool_report_exposes_controller(self, instance, routes):
-        params = PoolParams(
-            heartbeat_interval=0.05,
-            heartbeat_timeout=10.0,
-            task_deadline=10.0,
-            backoff_base=0.01,
-            poll_interval=0.02,
-            adaptive_sizing=True,
-        )
-        with WorkerPool(instance, 1, params=params) as pool:
-            for i in range(4):
-                tid = pool.submit(routes, 8, seed=i, iteration=i + 1)
-                pool.gather([tid])
-            report = pool.report()
-        assert report["adaptive"]["observed_tasks"] == 4
-        assert report["adaptive"]["work_per_neighbor_s"] > 0
-        assert len(pool.plan_counts(64)) >= 1
-        assert sum(pool.plan_counts(64)) == 64
-
+class TestPlanCounts:
     def test_plan_counts_static(self, instance, routes):
         with WorkerPool(instance, 2, params=FAST) as pool:
             assert pool.plan_counts(20) == [10, 10]
