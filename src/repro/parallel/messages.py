@@ -35,8 +35,8 @@ __all__ = [
     "PoolHeartbeat",
 ]
 
-#: (routes, (distance, vehicles, tardiness), tabu attribute) — the
-#: picklable representation of one evaluated neighbor on the wire.
+#: (routes, (distance, vehicles, tardiness), tabu attribute) — one
+#: evaluated neighbor as :meth:`WireBatch.decode` hands it to the drivers.
 NeighborTriple = tuple[
     tuple[tuple[int, ...], ...], tuple[float, int, float], Hashable
 ]
@@ -95,7 +95,7 @@ class PoolTask:
     the determinism-under-retry invariant the pool is built on.
 
     ``routes`` carries the parent solution in one of three forms: the
-    plain nested tuple (codec off / master-local execution), a packed
+    plain nested tuple (master-local execution), a packed
     :class:`~repro.parallel.wire.WireRoutes`, or a
     :class:`~repro.parallel.wire.WireTaskDelta` against the routes of
     the last task the *target worker* completed (the steady-state
@@ -143,9 +143,9 @@ class PoolBatch:
     the existing result message is how worker events reach the master's
     tracer without a second channel.
 
-    ``neighbors`` is either the plain triple tuple (codec off) or a
-    packed :class:`~repro.parallel.wire.WireBatch` of parent-relative
-    edits; the pool decodes before anything downstream sees it.
+    ``neighbors`` is a packed :class:`~repro.parallel.wire.WireBatch`
+    of parent-relative edits; the pool decodes it into plain triples
+    before anything downstream sees it.
     ``phase`` (final batches only, when the worker timed itself) is the
     task's accumulated ``(generate, evaluate)`` seconds — the
     worker-side contribution to the obs phase profile.
@@ -154,7 +154,7 @@ class PoolBatch:
     worker: int
     task_id: int
     attempt: int
-    neighbors: tuple[NeighborTriple, ...] | WireBatch
+    neighbors: WireBatch
     final: bool
     rng_state: dict | None = None
     cache_delta: tuple[int, int] | None = None

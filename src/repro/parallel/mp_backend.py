@@ -8,32 +8,33 @@ heartbeats, bounded task retry with deterministic re-seeding,
 replacement-worker respawn and graceful degradation to master-only
 execution when the pool collapses.
 
-* :func:`run_multiprocessing_tsmo` — the synchronous protocol
-  (§III.C): the master farms the whole neighborhood out each
-  iteration, waits for every chunk (the pool supervises stragglers and
-  crashes underneath), then runs the unchanged
-  :meth:`~repro.tabu.search.TSMOEngine.select_and_update`.  With a
-  single task per iteration it switches to *lockstep* mode — the
-  worker continues the master's own RNG stream and ships the advanced
-  state back — which makes ``n_workers=1`` bit-identical to the
+* :class:`SyncStep` — one iteration of the synchronous protocol
+  (§III.C): farm the neighborhood out as one or more tasks, wait for
+  every chunk, rebuild the neighbors in task order and run the
+  unchanged :meth:`~repro.tabu.search.TSMOEngine.select_and_update`.
+  It is the only implementation of that iteration: the driver below
+  blocks on :meth:`~repro.parallel.pool.WorkerPool.gather` between its
+  halves, and a ``repro.serve`` job feeds it the tagged events of a
+  shared pool.  With a single task it runs *lockstep* — the worker
+  continues the master's own PCG64 stream and ships the advanced state
+  back — which makes one task per iteration bit-identical to the
   sequential algorithm.
+* :func:`run_multiprocessing_tsmo` — the synchronous driver: one
+  private pool, one task per worker, ``submit → gather → complete``
+  until the budget is spent.
 * :func:`run_multiprocessing_async_tsmo` — the asynchronous protocol
   (§III.D): workers stream small result batches and the master applies
   the paper's decision function on real wall-clock time — c1 a worker
   went idle, c2 a collected neighbor dominates the current solution,
   c3 the master waited too long, c4 the budget is exhausted.
 
-The protocol's known awkwardnesses stay handled explicitly:
-
-* the instance (with its O(N²) travel matrix) ships **once** per
-  worker life via the spawn arguments, not with every task;
-* workers return ``(routes, objectives, tabu attribute)`` triples —
-  plain picklable data — rather than :class:`Move` objects, because
-  moves close over solution internals;
-* evaluation counting happens on the master from received batch sizes
-  (a shared counter would serialize on a lock);
-* worker-computed objectives are *adopted* by the reconstructed
-  solutions, so the master never re-evaluates the selected child.
+Workers return ``(routes, objectives, tabu attribute)`` triples (the
+pool decodes them from compact parent-relative edits) rather than
+:class:`Move` objects, because moves close over solution internals;
+:func:`rebuild_neighbor` turns each back into a master-side neighbor
+that *adopts* the worker-computed objectives, so the master never
+re-evaluates a child.  Evaluation counting happens on the master, one
+unit per received neighbor.
 
 Failure handling and observability are the pool's: both drivers attach
 its counter report as ``result.extra["pool"]``, and the
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable
 
 import numpy as np
 
@@ -58,8 +59,8 @@ from repro.core.stats_cache import CacheStats
 from repro.errors import SearchError
 from repro.mo.dominance import dominates
 from repro.obs import NULL_OBS
-from repro.parallel.pool import FaultPlan, PoolParams, WorkerPool
-from repro.rng import RngFactory, as_generator
+from repro.parallel.pool import FaultPlan, PoolParams, TaskOutcome, WorkerPool
+from repro.rng import RngFactory, as_generator, get_generator_state, set_generator_state
 from repro.tabu.neighborhood import Neighbor
 from repro.tabu.params import TSMOParams
 from repro.tabu.search import TSMOEngine, TSMOResult
@@ -68,6 +69,8 @@ from repro.vrptw.instance import Instance
 __all__ = [
     "MpAsyncParams",
     "RemoteMove",
+    "SyncStep",
+    "rebuild_neighbor",
     "run_multiprocessing_async_tsmo",
     "run_multiprocessing_tsmo",
 ]
@@ -98,13 +101,13 @@ class RemoteMove(Move):
         return self._attribute
 
 
-def _wire_neighbor(
+def rebuild_neighbor(
     instance: Instance,
     triple,
     iteration: int,
     evaluator: Evaluator,
 ) -> Neighbor:
-    """Rebuild one wire triple into a master-side :class:`Neighbor`.
+    """Rebuild one worker triple into a master-side :class:`Neighbor`.
 
     The worker-computed objectives are adopted by the reconstructed
     solution (bit-identical to an eager re-evaluation — per-route
@@ -123,6 +126,156 @@ def _wire_neighbor(
         iteration=iteration,
         solution=child,
     )
+
+
+def _chunk_sizes(total: int, n: int) -> list[int]:
+    """``total`` neighbors split into at most ``n`` near-equal chunks."""
+    base, extra = divmod(total, n)
+    sizes = (base + (1 if i < extra else 0) for i in range(n))
+    return [size for size in sizes if size > 0]
+
+
+class SyncStep:
+    """One synchronous master–worker iteration of ``engine`` (§III.C).
+
+    The neighborhood is split into ``n_tasks`` near-equal chunks.  With
+    one task and a PCG64 engine the step runs *lockstep*: the task
+    carries the engine's bit-state and the worker's advanced state is
+    written back, so the trajectory equals the sequential driver's.
+    Otherwise (always with ``split=True``) each task gets its own seed
+    from a stream rooted at ``seed``; a retried task keeps its seed.
+
+    Call :meth:`submit`, then :meth:`complete` with
+    :meth:`WorkerPool.gather`'s outcomes — or feed each tagged pool
+    event to :meth:`on_event` and call :meth:`complete` once it returns
+    True.  :meth:`abandon` drops an in-flight iteration and rewinds the
+    seed stream, so the next :meth:`submit` re-ships the same seeds.
+    """
+
+    def __init__(
+        self,
+        engine: TSMOEngine,
+        n_tasks: int,
+        seed: int | None = None,
+        *,
+        split: bool = False,
+        tag: object | None = None,
+        trace: tuple[str, str] | None = None,
+        instance_ref=None,
+    ) -> None:
+        if n_tasks < 1:
+            raise SearchError("need at least one task per iteration")
+        self.engine = engine
+        self.chunk_sizes = _chunk_sizes(engine.params.neighborhood_size, n_tasks)
+        self.lockstep = (
+            not split
+            and n_tasks == 1
+            and type(engine.rng.bit_generator).__name__ == "PCG64"
+        )
+        self._seed_rng = None if self.lockstep else RngFactory(seed).generator()
+        self._tag = tag
+        self._trace = trace
+        self._instance_ref = instance_ref
+        #: worker stats-cache counters summed over completed iterations.
+        self.worker_hits = 0
+        self.worker_misses = 0
+        self._clear()
+
+    def _clear(self) -> None:
+        self._task_ids: list[int] = []
+        self._buffers: dict[int, list] = {}
+        self._finals: dict[int, TaskOutcome] = {}
+        self._rewind: dict | None = None
+
+    @property
+    def in_flight(self) -> bool:
+        """An iteration is submitted and not yet completed."""
+        return bool(self._task_ids)
+
+    def submit(self, pool: WorkerPool) -> list[int]:
+        """Submit the next iteration's tasks; returns their ids."""
+        engine = self.engine
+        if self.lockstep:
+            randomness = [{"rng_state": engine.rng.bit_generator.state}]
+        else:
+            self._rewind = get_generator_state(self._seed_rng)
+            randomness = [
+                {"seed": int(self._seed_rng.integers(2**63))} for _ in self.chunk_sizes
+            ]
+        self._task_ids = [
+            pool.submit(
+                engine.current.routes,
+                size,
+                iteration=engine.iteration + 1,
+                tag=self._tag,
+                trace=self._trace,
+                instance_ref=self._instance_ref,
+                **kwargs,
+            )
+            for size, kwargs in zip(self.chunk_sizes, randomness)
+        ]
+        self._buffers = {task_id: [] for task_id in self._task_ids}
+        return self._task_ids
+
+    def on_event(self, event) -> bool:
+        """Fold one pool :class:`BatchEvent` in; True once every task of
+        the iteration delivered its final batch."""
+        buffer = self._buffers.get(event.task_id)
+        if buffer is None:
+            return False  # a batch of an abandoned iteration
+        buffer.extend(event.neighbors)
+        if event.final:
+            self._finals[event.task_id] = TaskOutcome(
+                neighbors=tuple(buffer),
+                rng_state=event.rng_state,
+                cache_delta=event.cache_delta or (0, 0),
+            )
+        return len(self._finals) == len(self._task_ids)
+
+    def complete(self, outcomes: dict[int, TaskOutcome] | None = None) -> None:
+        """Rebuild the iteration's neighbors in task order and select.
+
+        ``outcomes`` maps task id to outcome (:meth:`WorkerPool.gather`);
+        by default the ones :meth:`on_event` collected.
+        """
+        engine = self.engine
+        outcomes = self._finals if outcomes is None else outcomes
+        iteration = engine.iteration + 1
+        profiler = engine.obs.profiler
+        neighbors: list[Neighbor] = []
+        with profiler.time("communicate"):
+            for task_id in self._task_ids:
+                outcome = outcomes[task_id]
+                hits, misses = outcome.cache_delta
+                self.worker_hits += hits
+                self.worker_misses += misses
+                for triple in outcome.neighbors:
+                    neighbors.append(
+                        rebuild_neighbor(
+                            engine.instance, triple, iteration, engine.evaluator
+                        )
+                    )
+                if self.lockstep and outcome.rng_state is not None:
+                    engine.rng.bit_generator.state = outcome.rng_state
+        self._clear()
+        with profiler.time("select"):
+            engine.select_and_update(neighbors)
+
+    def abandon(self) -> None:
+        """Drop the in-flight iteration, rewinding the seed stream."""
+        if self._rewind is not None:
+            set_generator_state(self._seed_rng, self._rewind)
+        self._clear()
+
+    def seed_state(self) -> dict | None:
+        """The split seed stream's state at the iteration boundary
+        (``None`` in lockstep, which has no seed stream)."""
+        return None if self._seed_rng is None else get_generator_state(self._seed_rng)
+
+    def restore_seed_state(self, state: dict | None) -> None:
+        """Continue the seed stream from a :meth:`seed_state` snapshot."""
+        if self._seed_rng is not None and state is not None:
+            set_generator_state(self._seed_rng, state)
 
 
 def _finish_result(
@@ -176,89 +329,50 @@ def run_multiprocessing_tsmo(
     n_workers: int = 2,
     seed: int | np.random.Generator | None = None,
     *,
-    chunks_per_worker: int = 1,
     pool_params: PoolParams | None = None,
     fault_plan: FaultPlan | None = None,
     obs=NULL_OBS,
 ) -> TSMOResult:
     """Synchronous master–worker TSMO on real OS processes.
 
-    With exactly one task per iteration (``n_workers=1`` and
-    ``chunks_per_worker=1``) the driver runs in *lockstep* mode: the
-    worker continues the master's own PCG64 stream and returns the
-    advanced state, which makes the run bit-identical to
+    Each iteration is one :class:`SyncStep` with one task per worker.
+    With ``n_workers=1`` the step runs in *lockstep* mode, which makes
+    the run bit-identical to
     :func:`~repro.tabu.search.run_sequential_tsmo` with the same seed.
-    With more tasks, each task draws an independent per-task seed —
+    With more workers each task draws an independent per-task seed —
     deterministic for a given ``seed`` regardless of worker failures.
     """
     params = params or TSMOParams()
     if n_workers < 1:
         raise SearchError("need at least one worker process")
-    if chunks_per_worker < 1:
-        raise SearchError("need at least one chunk per worker")
     obs.set_unit("seconds")
-    master_rng = as_generator(seed)
-    seed_rng = RngFactory(seed if not isinstance(seed, np.random.Generator) else None).generator()
     evaluator = Evaluator(instance, params.max_evaluations)
-    engine = TSMOEngine(instance, params, master_rng, evaluator=evaluator, obs=obs)
-
-    n_tasks = n_workers * chunks_per_worker
-    base, extra = divmod(params.neighborhood_size, n_tasks)
-    chunk_sizes = [base + (1 if i < extra else 0) for i in range(n_tasks)]
-    lockstep = (
-        n_tasks == 1
-        and type(engine.rng.bit_generator).__name__ == "PCG64"
+    engine = TSMOEngine(
+        instance, params, as_generator(seed), evaluator=evaluator, obs=obs
+    )
+    step = SyncStep(
+        engine, n_workers, None if isinstance(seed, np.random.Generator) else seed
     )
 
     start = time.perf_counter()
-    worker_hits = worker_misses = 0
-    profiler = obs.profiler
     with WorkerPool(
         instance, n_workers, params=pool_params, fault_plan=fault_plan, obs=obs
     ) as pool:
         engine.initialize()
         while not engine.done:
-            iteration = engine.iteration + 1
-            if lockstep:
-                task_ids = [
-                    pool.submit(
-                        engine.current.routes,
-                        chunk_sizes[0],
-                        rng_state=engine.rng.bit_generator.state,
-                        iteration=iteration,
-                    )
-                ]
-            else:
-                task_ids = [
-                    pool.submit(
-                        engine.current.routes,
-                        size,
-                        seed=int(seed_rng.integers(2**63)),
-                        iteration=iteration,
-                    )
-                    for size in chunk_sizes
-                    if size > 0
-                ]
-            with profiler.time("wait"):
+            task_ids = step.submit(pool)
+            with obs.profiler.time("wait"):
                 outcomes = pool.gather(task_ids)
-            neighbors: list[Neighbor] = []
-            with profiler.time("communicate"):
-                for task_id in task_ids:  # task order, not arrival order
-                    outcome = outcomes[task_id]
-                    hits, misses = outcome.cache_delta
-                    worker_hits += hits
-                    worker_misses += misses
-                    for triple in outcome.neighbors:
-                        neighbors.append(
-                            _wire_neighbor(instance, triple, iteration, evaluator)
-                        )
-                    if lockstep and outcome.rng_state is not None:
-                        engine.rng.bit_generator.state = outcome.rng_state
-            with profiler.time("select"):
-                engine.select_and_update(neighbors)
+            step.complete(outcomes)
         wall = time.perf_counter() - start
         return _finish_result(
-            engine, pool, "multiprocessing", wall, n_workers, worker_hits, worker_misses
+            engine,
+            pool,
+            "multiprocessing",
+            wall,
+            n_workers,
+            step.worker_hits,
+            step.worker_misses,
         )
 
 
@@ -326,9 +440,7 @@ def run_multiprocessing_async_tsmo(
     evaluator = Evaluator(instance, params.max_evaluations)
     engine = TSMOEngine(instance, params, master_rng, evaluator=evaluator, obs=obs)
 
-    base, extra = divmod(params.neighborhood_size, n_workers)
-    chunk_sizes = [base + (1 if i < extra else 0) for i in range(n_workers)]
-    chunk_sizes = [size for size in chunk_sizes if size > 0]
+    chunk_sizes = _chunk_sizes(params.neighborhood_size, n_workers)
 
     start = time.perf_counter()
     worker_hits = worker_misses = 0
@@ -370,7 +482,7 @@ def run_multiprocessing_async_tsmo(
                 for event in events:
                     for triple in event.neighbors:
                         collected.append(
-                            _wire_neighbor(
+                            rebuild_neighbor(
                                 instance, triple, event.iteration, evaluator
                             )
                         )
@@ -431,25 +543,3 @@ def run_multiprocessing_async_tsmo(
     )
     result.extra["carryover_neighbors"] = carryover
     return result
-
-
-def pickle_roundtrip_sizes(instance: Instance) -> dict[str, int]:
-    """Pickle-baseline sizes of the protocol's payloads.
-
-    These are the *uncoded* costs — what each task and worker spawn
-    paid before the zero-copy transport (``repro.parallel.wire`` /
-    ``repro.parallel.shm``).  For the full pickle-vs-codec comparison,
-    including the shared-memory and delta-task steady state, use
-    :func:`repro.parallel.wire.wire_cost` (the ``bench_micro.py``
-    wire-cost benchmark records it into ``BENCH_micro.json``).
-    """
-    import pickle
-
-    customers = list(range(1, instance.n_customers + 1))
-    routes: Sequence = tuple(
-        tuple(customers[i : i + 5]) for i in range(0, len(customers), 5)
-    )
-    return {
-        "instance_bytes": len(pickle.dumps(instance)),
-        "routes_bytes": len(pickle.dumps(routes)),
-    }

@@ -195,10 +195,6 @@ class PoolParams:
     #: deadline.  Once the worker is heard, its deadline clock starts
     #: at that moment instead of at dispatch.
     boot_grace: float = 10.0
-    #: ship tasks/batches through the compact wire codecs
-    #: (:mod:`repro.parallel.wire`) instead of pickling nested tuples.
-    #: Decode is bit-identical, so this is safe to leave on.
-    codec: bool = True
     #: broadcast the instance through one shared-memory segment
     #: (:mod:`repro.parallel.shm`) instead of pickling it into every
     #: worker spawn.
@@ -241,7 +237,6 @@ def execute_task(
     task: PoolTask,
     worker: int,
     *,
-    codec: bool = False,
     timed: bool = False,
 ):
     """Yield the :class:`PoolBatch` stream of one task.
@@ -253,14 +248,13 @@ def execute_task(
     task after a crash reproduces the same neighbor sequence.
 
     ``task.routes`` must already be the plain nested tuple here (the
-    worker main decodes wire forms first).  With ``codec=True``,
-    batches carry :class:`~repro.parallel.wire.WireBatch` edit payloads
-    and ``move.apply`` is skipped entirely — the master reconstructs
-    child routes from the parent it already holds, and the move's
+    worker main decodes wire forms first).  Batches carry
+    :class:`~repro.parallel.wire.WireBatch` edit payloads and
+    ``move.apply`` is never called — the master reconstructs child
+    routes from the parent it already holds, and the move's
     ``route_edits`` are exactly what ``apply`` would have used, so the
-    decoded triples are identical.  Neither the codec nor ``timed``
-    touches the RNG stream or the evaluator, so all modes are
-    bit-identical per seed.
+    decoded triples are identical.  ``timed`` touches neither the RNG
+    stream nor the evaluator, so it is bit-identical per seed.
     """
     cache = evaluator.stats_cache
     hits0, misses0 = cache.hits, cache.misses
@@ -268,17 +262,16 @@ def execute_task(
     rng = _task_rng(task)
     # One sampler call samples and scores the whole task; the entries
     # then stream out in ``batch_size`` chunks through the flush
-    # protocol, each shipping its edits or routes to the master.
+    # protocol, each shipping its edits to the master.
     result = sample_batch(solution, task.count, registry, rng, evaluator, timed=timed)
     out = []
 
     def flush(final: bool) -> PoolBatch:
-        neighbors = WireBatch.encode(out) if codec else tuple(out)
         return PoolBatch(
             worker=worker,
             task_id=task.task_id,
             attempt=task.attempt,
-            neighbors=neighbors,
+            neighbors=WireBatch.encode(out),
             final=final,
             rng_state=(
                 rng.bit_generator.state
@@ -293,12 +286,8 @@ def execute_task(
 
     for obj, move in result.entries:
         objective = (obj.distance, obj.vehicles, obj.tardiness)
-        if codec:
-            replacements, added = move.route_edits(solution)
-            out.append((replacements, added, objective, move.attribute))
-        else:
-            child = move.apply(solution)  # routes must ship to the master
-            out.append((child.routes, objective, move.attribute))
+        replacements, added = move.route_edits(solution)
+        out.append((replacements, added, objective, move.attribute))
         if len(out) >= task.batch_size:
             yield flush(final=False)
             out = []
@@ -401,7 +390,6 @@ def _pool_worker_main(
         if isinstance(msg, StopMessage):
             break
         task: PoolTask = msg
-        codec = not isinstance(task.routes, tuple)
         if isinstance(task.routes, WireTaskDelta):
             delta = task.routes
             if last_done is None or last_done[0] != delta.base_task_id:
@@ -433,7 +421,6 @@ def _pool_worker_main(
             registry,
             task,
             slot,
-            codec=codec,
             timed=timed,
         ):
             if batch.final and tracer is not None:
@@ -917,20 +904,6 @@ class WorkerPool:
         """
         return len(self._tasks)
 
-    def plan_counts(self, total: int) -> list[int]:
-        """Split a ``total``-neighbor fan-out into per-task counts.
-
-        The static even split across alive workers (the last count
-        takes the remainder).
-        """
-        if total < 1:
-            return []
-        per = max(1, -(-total // max(self._alive_count(), 1)))
-        counts = [per] * (total // per)
-        if total % per:
-            counts.append(total % per)
-        return counts
-
     # -- event loop ----------------------------------------------------
     def poll(self, timeout: float | None = None) -> list[BatchEvent]:
         """Advance the pool and return newly delivered batches.
@@ -1022,8 +995,6 @@ class WorkerPool:
         other gets the full :class:`WireRoutes`.  Retries re-enter this
         path and re-encode for whichever slot they land on.
         """
-        if not self.params.codec:
-            return routes
         if slot.done_task_id is not None and slot.done_routes is not None:
             delta = diff_routes(slot.done_routes, routes)
             if delta is not None:
@@ -1113,16 +1084,16 @@ class WorkerPool:
         # stale check — keeps the master's trace free of duplicates.
         if msg.events and self.obs.tracer.enabled:
             self.obs.tracer.ingest(msg.events)
-        # Codec payloads decode here — after the stale check, before the
+        # Edit payloads decode here — after the stale check, before the
         # exactly-once offset logic, so everything downstream (prefix
-        # skip, drivers) sees the identical plain triples either way.
-        # The parent routes are the ones the master submitted; the
-        # worker evaluated edits against the same tuple by construction.
-        neighbors = msg.neighbors
-        if isinstance(neighbors, WireBatch):
+        # skip, drivers) sees plain triples.  The parent routes are the
+        # ones the master submitted; the worker (or the master-local
+        # fallback) evaluated edits against the same tuple.  Only
+        # batches that crossed a process boundary count as wire traffic.
+        if slot is not None:
             self._wire_batches += 1
-            self._wire_batch_bytes += len(neighbors.blob)
-            neighbors = neighbors.decode(state.task.routes)
+            self._wire_batch_bytes += len(msg.neighbors.blob)
+        neighbors = msg.neighbors.decode(state.task.routes)
         # Exactly-once across retries: skip the already-delivered prefix
         # (retries regenerate the identical neighbor sequence, so an
         # offset is a correct resume point).
@@ -1328,7 +1299,6 @@ class WorkerPool:
             "n_workers": self.n_workers,
             "degraded": self.degraded,
             "transport": {
-                "codec": self.params.codec,
                 "shared_instance": self._shared is not None,
                 "delta_tasks": self._delta_tasks,
                 "full_tasks": self._full_tasks,

@@ -5,21 +5,24 @@ evaluation budget and archive — time-sliced onto the scheduler's
 shared :class:`~repro.parallel.pool.WorkerPool` at iteration
 granularity.  :class:`JobSpec` is the immutable request; :class:`Job`
 is both the client-facing handle (``state``, ``await job.wait()``) and
-the scheduler-facing runner that drives the engine one iteration at a
-time through tagged pool tasks.
+the scheduler-facing runner.
 
-Two drivers:
+Each iteration is one :class:`~repro.parallel.mp_backend.SyncStep` —
+the same synchronous master–worker step the real-process driver runs —
+submitted as tasks tagged with the job id and completed from the
+pool's tagged events.  Two drivers:
 
 * ``"lockstep"`` — one task per iteration carrying the engine's exact
-  PCG64 bit-state; the worker continues the master's own stream and
-  ships the advanced state back, so the job's trajectory is
-  bit-identical to :func:`~repro.tabu.search.run_sequential_tsmo` with
-  the same seed (the property the kill-and-resume test relies on).
+  PCG64 bit-state, so the job's trajectory is bit-identical to
+  :func:`~repro.tabu.search.run_sequential_tsmo` with the same seed.
 * ``"split"`` — ``n_tasks`` chunks per iteration, each with an
-  independent per-task seed drawn from a job-owned
-  :class:`~repro.rng.RngFactory` stream; deterministic for a given
-  spec seed regardless of worker failures, but not sequential-identical.
+  independent per-task seed from the step's seed stream; bit-identical
+  to :func:`~repro.parallel.mp_backend.run_multiprocessing_tsmo` with
+  ``n_workers=n_tasks`` and the same seed.
 
+Both survive preemption, retry and recovery bit-identically: the
+engine only mutates when an iteration completes, and an abandoned
+iteration rewinds the seed stream, so the re-run ships the same seeds.
 The runner follows the sequential driver's checkpoint protocol
 exactly: the policy block (snapshot-if-due, then maybe-crash) runs at
 every iteration boundary *before* the done-check, so a resumed job
@@ -45,10 +48,10 @@ from repro.errors import (
     WrongInstanceError,
 )
 from repro.obs import NULL_OBS
-from repro.parallel.mp_backend import _wire_neighbor
+from repro.parallel.mp_backend import SyncStep
 from repro.parallel.shm import SharedInstanceRef, instance_fingerprint
 from repro.parallel.wire import instance_from_wire, instance_to_wire
-from repro.rng import RngFactory, as_generator, get_generator_state, set_generator_state
+from repro.rng import as_generator
 from repro.tabu.params import TSMOParams
 from repro.tabu.search import TSMOEngine, TSMOResult
 from repro.vrptw.instance import Instance
@@ -138,8 +141,12 @@ class JobSpec:
             raise ServeError(
                 f"unknown job driver {self.driver!r}; expected one of {DRIVERS}"
             )
+        if self.seed is not None and self.seed < 0:
+            raise ServeError("seed must be >= 0")
         if self.n_tasks < 1:
             raise ServeError("n_tasks must be >= 1")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ServeError("checkpoint_every must be >= 1")
         if self.driver == "lockstep" and self.n_tasks != 1:
             raise ServeError(
                 "lockstep jobs run exactly one task per iteration; "
@@ -199,7 +206,12 @@ class JobSpec:
         mistyped = [
             name
             for name, kinds in _WIRE_TYPES.items()
-            if name in wire and not isinstance(wire[name], kinds)
+            if name in wire
+            and not (
+                isinstance(wire[name], kinds)
+                # bool subclasses int: JSON true/false fits bool fields only.
+                and isinstance(wire[name], bool) == (kinds is bool)
+            )
         ]
         if mistyped:
             raise LedgerError(f"job spec field(s) {mistyped} have the wrong type")
@@ -266,17 +278,9 @@ class Job:
         self._instance_ref: SharedInstanceRef | None = None
         # Runner state, populated by _start().
         self._engine: TSMOEngine | None = None
+        self._step: SyncStep | None = None
         self._policy = None
-        self._seed_rng = None
-        self._lockstep = spec.driver == "lockstep"
-        self._chunk_sizes: list[int] = []
-        self._task_order: list[int] = []
-        self._buffers: dict[int, list] = {}
-        self._pending_finals: set[int] = set()
-        self._rng_back: dict | None = None
         self._finished = False
-        self._worker_hits = 0
-        self._worker_misses = 0
         self._snaps_seen = 0
 
     # ------------------------------------------------------------------
@@ -338,13 +342,17 @@ class Job:
             instance, spec.params, as_generator(spec.seed), evaluator=evaluator
         )
         self._engine = engine
-        if self._lockstep:
-            self._chunk_sizes = [spec.params.neighborhood_size]
-        else:
-            base, extra = divmod(spec.params.neighborhood_size, spec.n_tasks)
-            sizes = [base + (1 if i < extra else 0) for i in range(spec.n_tasks)]
-            self._chunk_sizes = [size for size in sizes if size > 0]
-            self._seed_rng = RngFactory(spec.seed).generator()
+        # Span propagation: worker_task events of this job's tasks join
+        # the job's trace, parented under its lifecycle span.
+        self._step = SyncStep(
+            engine,
+            spec.n_tasks,
+            spec.seed,
+            split=spec.driver == "split",
+            tag=self.job_id,
+            trace=(self.job_id, f"job-{self.job_id}"),
+            instance_ref=self._instance_ref,
+        )
         try:
             resumed = (
                 policy.load_resume_state(kind="serve-job")
@@ -372,8 +380,7 @@ class Job:
                     f"at resume has fingerprint {self._instance_fp[:12]}…"
                 )
             engine.restore(resumed["engine"])
-            if self._seed_rng is not None and resumed.get("seed_rng") is not None:
-                set_generator_state(self._seed_rng, resumed["seed_rng"])
+            self._step.restore_seed_state(resumed.get("seed_rng"))
             policy.note_resumed(engine.evaluator.count)
         else:
             engine.initialize()
@@ -388,86 +395,25 @@ class Job:
         return (
             self.state == JobState.RUNNING
             and not self._finished
-            and not self._pending_finals
+            and not self._step.in_flight
             and not self.cancel_requested
         )
 
     def _iteration_cost(self) -> int:
         """Fairness charge of one iteration: neighbors evaluated."""
-        return sum(self._chunk_sizes)
+        return self.spec.params.neighborhood_size
 
     def _dispatch(self, pool) -> int:
         """Submit one iteration's tasks onto the shared pool."""
-        engine = self._engine
-        iteration = engine.iteration + 1
-        self._task_order = []
-        self._buffers = {}
-        self._rng_back = None
-        # Span propagation: worker_task events of this job's tasks join
-        # the job's trace, parented under its lifecycle span.
-        trace = (self.job_id, f"job-{self.job_id}")
-        if self._lockstep:
-            task_id = pool.submit(
-                engine.current.routes,
-                self._chunk_sizes[0],
-                rng_state=engine.rng.bit_generator.state,
-                iteration=iteration,
-                tag=self.job_id,
-                trace=trace,
-                instance_ref=self._instance_ref,
-            )
-            self._task_order.append(task_id)
-            self._buffers[task_id] = []
-        else:
-            for size in self._chunk_sizes:
-                task_id = pool.submit(
-                    engine.current.routes,
-                    size,
-                    seed=int(self._seed_rng.integers(2**63)),
-                    iteration=iteration,
-                    tag=self.job_id,
-                    trace=trace,
-                    instance_ref=self._instance_ref,
-                )
-                self._task_order.append(task_id)
-                self._buffers[task_id] = []
-        self._pending_finals = set(self._task_order)
-        return len(self._task_order)
+        return len(self._step.submit(pool))
 
     def _on_event(self, event) -> None:
-        """Fold one tagged :class:`BatchEvent` into the current iteration."""
-        buffer = self._buffers.get(event.task_id)
-        if buffer is None:
-            return  # a batch of an already-completed iteration (stale)
-        buffer.extend(event.neighbors)
-        if not event.final:
+        """Fold one tagged :class:`BatchEvent` into the current
+        iteration; the last final batch completes it."""
+        if not self._step.on_event(event):
             return
-        self._pending_finals.discard(event.task_id)
-        if event.cache_delta is not None:
-            self._worker_hits += event.cache_delta[0]
-            self._worker_misses += event.cache_delta[1]
-        if self._lockstep and event.rng_state is not None:
-            self._rng_back = event.rng_state
-        if not self._pending_finals and self._task_order:
-            self._complete_iteration()
-
-    def _complete_iteration(self) -> None:
-        """All finals in: rebuild neighbors in task order and select."""
         engine = self._engine
-        iteration = engine.iteration + 1
-        neighbors = []
-        for task_id in self._task_order:  # task order, not arrival order
-            for triple in self._buffers[task_id]:
-                neighbors.append(
-                    _wire_neighbor(
-                        engine.instance, triple, iteration, engine.evaluator
-                    )
-                )
-        if self._lockstep and self._rng_back is not None:
-            engine.rng.bit_generator.state = self._rng_back
-        engine.select_and_update(neighbors)
-        self._task_order = []
-        self._buffers = {}
+        self._step.complete()
         obs = self._obs
         if obs.enabled and obs.tracer.enabled:
             obs.tracer.emit(
@@ -504,11 +450,7 @@ class Job:
     def _build_state(self) -> dict:
         return {
             "engine": self._engine.snapshot(),
-            "seed_rng": (
-                get_generator_state(self._seed_rng)
-                if self._seed_rng is not None
-                else None
-            ),
+            "seed_rng": self._step.seed_state(),
             # Identity check at resume: a snapshot must never be
             # restored against a different instance (WrongInstanceError).
             "instance_fp": self._instance_fp,
@@ -531,31 +473,22 @@ class Job:
         self.state = JobState.QUEUED
         self.attempt_started_at = None
         self._engine = None
+        self._step = None
         self._policy = None
-        self._seed_rng = None
-        self._chunk_sizes = []
-        self._task_order = []
-        self._buffers = {}
-        self._pending_finals = set()
-        self._rng_back = None
         self._finished = False
 
     def _suspend(self) -> None:
         """Preemption: park the job, keeping the engine warm.
 
         In-flight pool tasks were already cancelled (their batches
-        drain silently), so the partial iteration is simply discarded:
-        the engine only ever mutates at iteration completion, and the
-        resumed dispatch re-ships the identical RNG bit-state, so the
-        re-run iteration is bit-identical to the one that was cut —
-        preemption is invisible to the trajectory.  A durability
-        snapshot is flushed so a crash while suspended loses nothing
-        beyond this boundary.
+        drain silently), so the partial iteration is simply abandoned:
+        the engine only ever mutates at iteration completion and the
+        step rewinds its seed stream, so the resumed dispatch re-ships
+        the identical RNG bit-state or seeds and preemption is
+        invisible to the trajectory.  A durability snapshot is flushed
+        so a crash while suspended loses nothing beyond this boundary.
         """
-        self._task_order = []
-        self._buffers = {}
-        self._pending_finals = set()
-        self._rng_back = None
+        self._step.abandon()
         if self._policy is not None:
             self._policy.flush(
                 self._engine.evaluator.count, self._build_state, kind="serve-job"
@@ -579,7 +512,7 @@ class Job:
             processors=n_workers + 1,
         )
         result.cache_stats = CacheStats(
-            hits=self._worker_hits, misses=self._worker_misses
+            hits=self._step.worker_hits, misses=self._step.worker_misses
         )
         result.extra["job_id"] = self.job_id
         result.extra["tenant"] = self.tenant
@@ -608,9 +541,6 @@ class Job:
         )
         self.error = exc
         self.finished_at = time.monotonic()
-        self._pending_finals = set()
-        self._task_order = []
-        self._buffers = {}
         if not self._future.done():
             self._future.set_exception(exc)
             self._future.exception()

@@ -803,7 +803,7 @@ class SolveScheduler:
             except Exception as exc:  # CrashInjected, SearchInterrupted, ...
                 self._fail_or_retry(job, exc)
         for job in list(self._active.values()):
-            if job._finished and not job._pending_finals:
+            if job._finished and not job._step.in_flight:
                 self._finish_job(job)
 
     def _admit(self) -> None:
@@ -836,7 +836,7 @@ class SolveScheduler:
                 self.peak_active = max(self.peak_active, len(self._active))
                 if self.obs.enabled:
                     self._emit_state(job.job_id, JobState.RUNNING)
-                if job._finished and not job._pending_finals:
+                if job._finished and not job._step.in_flight:
                     self._finish_job(job)  # preempted after its last iteration
                 continue
             policy = self._policy_for(job)

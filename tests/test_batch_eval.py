@@ -371,7 +371,9 @@ def test_six_operator_registry_samples_through_sample_batch(
         execute_task(small_instance, Evaluator(small_instance), all_six_registry(), task, 0)
     )
     assert calls == [40, 40]
-    triples = [t for batch in batches for t in batch.neighbors]
+    triples = [
+        t for batch in batches for t in batch.neighbors.decode(small_solution.routes)
+    ]
     assert len(triples) == len(sequential) == 40
     assert {nb.move.name for nb in sequential} >= {"segx"}
     for nb, (routes, objective, attribute) in zip(sequential, triples):

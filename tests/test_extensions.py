@@ -12,7 +12,6 @@ from repro.parallel.adaptive_memory import (
 from repro.parallel.mp_backend import (
     MpAsyncParams,
     RemoteMove,
-    pickle_roundtrip_sizes,
     run_multiprocessing_async_tsmo,
     run_multiprocessing_tsmo,
 )
@@ -63,12 +62,6 @@ class TestRemoteMove:
 
 
 class TestMultiprocessing:
-    def test_payload_sizes(self, instance):
-        sizes = pickle_roundtrip_sizes(instance)
-        # The instance payload (with its O(N^2) matrix) dwarfs a routes
-        # payload — the reason it ships once via the initializer.
-        assert sizes["instance_bytes"] > 20 * sizes["routes_bytes"]
-
     def test_run_small(self, instance):
         params = TSMOParams(
             max_evaluations=150, neighborhood_size=20, restart_after=6

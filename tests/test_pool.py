@@ -54,7 +54,7 @@ def run_on_master(instance, routes, count, seed, batch_size=None):
     for batch in execute_task(
         instance, Evaluator(instance), default_registry(), task, -1
     ):
-        neighbors.extend(batch.neighbors)
+        neighbors.extend(batch.neighbors.decode(routes))
     return tuple(neighbors)
 
 

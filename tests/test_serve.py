@@ -5,7 +5,8 @@ deficit-round-robin arbiter — run process-free.  The integration tests
 spawn a real worker pool with the same shrunk supervision intervals as
 ``test_pool.py``; the headline guarantees each proves:
 
-* a lockstep job is bit-identical to the sequential driver;
+* a lockstep job is bit-identical to the sequential driver, and a
+  split job to the real-process synchronous driver, preempted or not;
 * killing the scheduler mid-job and resuming in a brand-new one
   finishes bit-identically (checkpointed multi-tenant restarts work);
 * 50+ concurrent jobs on one shared pool lose and duplicate nothing;
@@ -26,8 +27,10 @@ from repro.errors import (
     ServeError,
     WrongInstanceError,
 )
-from repro.obs import Obs
+from repro.obs import NULL_OBS, Obs
+from repro.parallel.mp_backend import run_multiprocessing_tsmo
 from repro.parallel.pool import PoolParams
+from repro.persistence.checkpoint import CheckpointPolicy, read_checkpoint
 from repro.serve import (
     DeficitRoundRobin,
     JobLedger,
@@ -39,6 +42,7 @@ from repro.serve import (
     TrafficConfig,
     run_traffic,
 )
+from repro.serve.job import Job
 from repro.serve.ledger import LEDGER_FILENAME
 from repro.tabu.params import TSMOParams
 from repro.tabu.search import run_sequential_tsmo
@@ -211,6 +215,36 @@ class TestLockstepBitIdentity:
         result = run(scenario())
         assert result.evaluations >= SMALL.max_evaluations
         assert result.algorithm == "serve-split"
+
+    @pytest.mark.parametrize("n_tasks, seed", [(2, 3), (3, 5)])
+    def test_split_job_matches_mp_driver(self, instance, n_tasks, seed):
+        """A split job runs the real-process driver's synchronous step:
+        ``n_tasks=k`` is bit-identical to ``n_workers=k``."""
+        params = TSMOParams(max_evaluations=300, neighborhood_size=16)
+
+        async def scenario():
+            async with SolveScheduler(
+                instance, n_workers=2, pool_params=FAST
+            ) as scheduler:
+                job = scheduler.submit(
+                    JobSpec(
+                        job_id="s",
+                        seed=seed,
+                        params=params,
+                        driver="split",
+                        n_tasks=n_tasks,
+                    )
+                )
+                return await job.wait()
+
+        result = run(scenario())
+        oracle = run_multiprocessing_tsmo(
+            instance, params, n_workers=n_tasks, seed=seed, pool_params=FAST
+        )
+        assert result.evaluations == oracle.evaluations
+        assert result.iterations == oracle.iterations
+        assert result.restarts == oracle.restarts
+        assert np.array_equal(result.front(), oracle.front())
 
 
 class TestCancellation:
@@ -604,6 +638,90 @@ class TestPreemption:
         assert report["preemptions"] == 0
         assert report["completed"] == 2
 
+    def test_preempted_split_job_matches_mp_driver(self, instance, tmp_path):
+        params = TSMOParams(max_evaluations=640, neighborhood_size=16)
+
+        async def scenario():
+            async with SolveScheduler(
+                instance,
+                n_workers=2,
+                pool_params=FAST,
+                params=ServeParams(max_active=1, pump_interval=0.01),
+                checkpoint_dir=tmp_path,
+            ) as scheduler:
+                low = scheduler.submit(
+                    JobSpec(
+                        job_id="low",
+                        seed=21,
+                        params=params,
+                        driver="split",
+                        n_tasks=2,
+                        checkpoint_every=32,
+                    )
+                )
+                while low.evaluations < 32:
+                    await asyncio.sleep(0.005)
+                high = scheduler.submit(
+                    JobSpec(job_id="high", seed=22, params=SMALL, priority=5)
+                )
+                await high.wait()
+                return await low.wait(), scheduler.report()
+
+        result, report = run(scenario())
+        assert report["preemptions"] >= 1
+        oracle = run_multiprocessing_tsmo(
+            instance, params, n_workers=2, seed=21, pool_params=FAST
+        )
+        assert result.evaluations == oracle.evaluations
+        assert result.iterations == oracle.iterations
+        assert np.array_equal(result.front(), oracle.front())
+
+
+class _RecordingPool:
+    """Process-free stand-in for the pool: records every submit."""
+
+    def __init__(self) -> None:
+        self.submits: list[tuple[int, dict]] = []
+
+    def submit(self, routes, count, **kwargs) -> int:
+        self.submits.append((count, kwargs))
+        return len(self.submits) - 1
+
+
+class TestSplitPreemptionSeeds:
+    def test_redispatch_after_preemption_reships_the_same_seeds(
+        self, instance, tmp_path
+    ):
+        """A preempted split iteration re-runs on the seeds it was cut
+        on, and the suspension snapshot holds the boundary seed stream."""
+        spec = JobSpec(
+            job_id="p",
+            seed=21,
+            params=TSMOParams(max_evaluations=640, neighborhood_size=16),
+            driver="split",
+            n_tasks=2,
+            checkpoint_every=32,
+        )
+        loop = asyncio.new_event_loop()
+        try:
+            job = Job(spec, loop.create_future(), now=0.0)
+            policy = CheckpointPolicy(tmp_path / "p.ckpt", every=32)
+            job._start(instance, policy, NULL_OBS)
+            boundary = job._build_state()["seed_rng"]
+            pool = _RecordingPool()
+            job._dispatch(pool)
+            cut = list(pool.submits)
+            job._suspend()
+            snapshot = read_checkpoint(policy.path, kind="serve-job")
+            job._resume_preempted()
+            pool.submits.clear()
+            job._dispatch(pool)
+        finally:
+            loop.close()
+        assert len(cut) == 2 and all("seed" in kwargs for _, kwargs in cut)
+        assert pool.submits == cut
+        assert snapshot["seed_rng"] == boundary
+
 
 class TestCorruptCheckpoint:
     def test_corrupt_snapshot_restarts_fresh_and_loud(self, instance, tmp_path):
@@ -829,6 +947,10 @@ class TestSpecWire:
             (lambda w: {**w, "driver": "teleport"}, "driver"),
             (lambda w: {**w, "priority": "high"}, "priority"),
             (lambda w: {**w, "n_tasks": "2"}, "n_tasks"),
+            (lambda w: {**w, "priority": True}, "priority"),
+            (lambda w: {**w, "seed": False}, "seed"),
+            (lambda w: {**w, "seed": -1}, "seed"),
+            (lambda w: {**w, "checkpoint_every": 0}, "checkpoint_every"),
             (lambda w: [w], "object"),
         ],
         ids=[
@@ -842,6 +964,10 @@ class TestSpecWire:
             "bad-driver",
             "mistyped-priority",
             "mistyped-n-tasks",
+            "bool-priority",
+            "bool-seed",
+            "negative-seed",
+            "zero-checkpoint-every",
             "not-object",
         ],
     )

@@ -1,6 +1,6 @@
 """Tests for the zero-copy pool transport.
 
-Four layers, separately falsifiable:
+Three layers, separately falsifiable:
 
 * the wire codecs (``repro.parallel.wire``) — hypothesis round-trip
   properties on synthetic payloads plus an equivalence check against
@@ -9,9 +9,9 @@ Four layers, separately falsifiable:
   attach fidelity in-process, and subprocess leak checks (clean
   shutdown *and* a SIGKILL-induced respawn must leave no segment and
   no resource-tracker complaint);
-* the pool's static task plan (``plan_counts``);
-* end-to-end codec parity — seeded codec-on runs bit-identical to
-  codec-off for both mp drivers.
+* the transport end to end — delta tasks in steady state, the pickled
+  instance spawn, and seeded shared-instance runs bit-identical to
+  pickled-instance runs.
 """
 
 import os
@@ -28,11 +28,7 @@ from hypothesis import strategies as st
 from repro.core.construction import i1_construct
 from repro.core.evaluation import Evaluator
 from repro.core.operators.registry import default_registry
-from repro.parallel.mp_backend import (
-    MpAsyncParams,
-    run_multiprocessing_async_tsmo,
-    run_multiprocessing_tsmo,
-)
+from repro.parallel.mp_backend import run_multiprocessing_tsmo
 from repro.parallel.pool import FaultPlan, PoolParams, WorkerPool
 from repro.parallel.shm import share_instance
 from repro.parallel.wire import (
@@ -44,6 +40,7 @@ from repro.parallel.wire import (
 )
 from repro.tabu.params import TSMOParams
 from repro.vrptw.generator import generate_instance
+from tests.test_pool import run_on_master
 
 FAST = PoolParams(
     heartbeat_interval=0.05,
@@ -348,18 +345,7 @@ class TestSharedInstance:
 
 
 # ----------------------------------------------------------------------
-# Task planning
-# ----------------------------------------------------------------------
-class TestPlanCounts:
-    def test_plan_counts_static(self, instance, routes):
-        with WorkerPool(instance, 2, params=FAST) as pool:
-            assert pool.plan_counts(20) == [10, 10]
-            assert pool.plan_counts(21) == [11, 10]
-            assert pool.plan_counts(0) == []
-
-
-# ----------------------------------------------------------------------
-# End-to-end codec behavior
+# End-to-end transport behavior
 # ----------------------------------------------------------------------
 class TestTransportEndToEnd:
     def test_delta_tasks_take_over_in_steady_state(self, instance):
@@ -378,7 +364,6 @@ class TestTransportEndToEnd:
             pool.gather([t2])
             report = pool.report()
         transport = report["transport"]
-        assert transport["codec"] is True
         assert transport["shared_instance"] is True
         assert transport["full_tasks"] == 1  # first dispatch: no base yet
         assert transport["delta_tasks"] == 1  # second rides the delta
@@ -386,61 +371,34 @@ class TestTransportEndToEnd:
         assert transport["wire_batch_bytes"] > 0
 
     def test_codec_off_still_works(self, instance, routes):
-        plain = PoolParams(
-            heartbeat_interval=0.05,
-            heartbeat_timeout=10.0,
-            task_deadline=10.0,
-            backoff_base=0.01,
-            poll_interval=0.02,
-            codec=False,
-            shared_instance=False,
-        )
+        """The pickled-instance spawn (``shared_instance=False``) serves
+        tasks like the shared-memory attach does."""
+        plain = PoolParams(**{**_fast_kwargs(), "shared_instance": False})
         with WorkerPool(instance, 1, params=plain) as pool:
             assert pool._shared is None
             tid = pool.submit(routes, 6, seed=3, iteration=1)
             outcome = pool.gather([tid])[tid]
             transport = pool.report()["transport"]
-        assert transport["codec"] is False
-        assert transport["wire_batches"] == 0
-        assert len(outcome.neighbors) == 6
+        assert transport["shared_instance"] is False
+        assert transport["wire_batches"] >= 1
+        assert outcome.neighbors == run_on_master(instance, routes, 6, seed=3)
 
-    def test_sync_driver_codec_parity(self, instance):
-        """Seeded codec-on and codec-off runs are bit-identical (sync)."""
+    def test_sync_driver_shared_instance_parity(self, instance):
+        """Seeded runs on a pickled and on a shared-memory instance are
+        bit-identical."""
         params = TSMOParams(max_evaluations=150, neighborhood_size=20, restart_after=6)
-        off = PoolParams(**{**_fast_kwargs(), "codec": False, "shared_instance": False})
-        on = PoolParams(**_fast_kwargs())
+        pickled = PoolParams(**{**_fast_kwargs(), "shared_instance": False})
+        shared = PoolParams(**_fast_kwargs())
         a = run_multiprocessing_tsmo(
-            instance, params, n_workers=2, seed=11, pool_params=off
+            instance, params, n_workers=2, seed=11, pool_params=pickled
         )
         b = run_multiprocessing_tsmo(
-            instance, params, n_workers=2, seed=11, pool_params=on
+            instance, params, n_workers=2, seed=11, pool_params=shared
         )
         assert np.array_equal(a.front(), b.front())
         assert a.evaluations == b.evaluations
         assert a.iterations == b.iterations
         assert a.restarts == b.restarts
-
-    def test_async_driver_codec_parity(self, instance):
-        """Seeded codec parity for the async driver, forced deterministic.
-
-        With one worker, batches as large as the task and an unreachable
-        ``max_wait``, the only decision trigger is c1 on a *complete*
-        task — so the trajectory is a pure function of the seed and the
-        codec must not change it.
-        """
-        params = TSMOParams(max_evaluations=150, neighborhood_size=20, restart_after=6)
-        aparams = MpAsyncParams(batch_size=1000, max_wait=1e9, poll_timeout=0.02)
-        off = PoolParams(**{**_fast_kwargs(), "codec": False, "shared_instance": False})
-        on = PoolParams(**_fast_kwargs())
-        a = run_multiprocessing_async_tsmo(
-            instance, params, n_workers=1, seed=13, async_params=aparams, pool_params=off
-        )
-        b = run_multiprocessing_async_tsmo(
-            instance, params, n_workers=1, seed=13, async_params=aparams, pool_params=on
-        )
-        assert np.array_equal(a.front(), b.front())
-        assert a.evaluations == b.evaluations
-        assert a.iterations == b.iterations
 
     def test_codec_survives_worker_crash(self, instance, routes):
         """A respawned worker has no delta base: retry must go full."""
@@ -456,8 +414,6 @@ class TestTransportEndToEnd:
         assert report["crashes"] == 1 and report["respawns"] == 1
         # Both tasks produced the deterministic ground truth despite the
         # delta dispatch being killed and re-encoded in full.
-        from tests.test_pool import run_on_master
-
         assert first.neighbors == run_on_master(instance, routes, 6, seed=4)
         assert second.neighbors == run_on_master(instance, routes, 6, seed=5)
 
@@ -476,6 +432,9 @@ class TestWireCost:
     def test_report_shape_and_ratios(self, instance):
         report = wire_cost(instance, neighborhood=40, batch_size=10, seed=0)
         assert report["task_bytes_pickle"] > 0
+        # The instance (with its O(N^2) matrix) dwarfs a routes payload —
+        # the reason it ships once per worker, never with a task.
+        assert report["instance_bytes_pickle"] > 20 * report["task_bytes_pickle"]
         assert report["batch_ratio"] > 1.0
         assert report["instance_ratio"] > 100.0
         assert report["iteration_bytes_wire"] < report["iteration_bytes_pickle"]
